@@ -8,7 +8,9 @@ variation of constants with per-step Simpson quadrature for the drift, and a
 single n x n linear solve for the unknown initial rates. When the fastest
 growth mode would overflow double precision over the horizon, shooting is
 replaced by one sparse solve coupling all nodes, which conditions like the
-underlying boundary problem rather than like e^{growth T}. No eigen
+underlying boundary problem rather than like e^{growth T}; its block-banded
+matrix is written straight into CSC arrays from index arithmetic and
+factored once with SuperLU. No eigen
 decomposition is used on the solve path; M is nonsymmetric and its
 eigenvectors can be poorly conditioned for nearby risk aversions.
 
@@ -174,40 +176,63 @@ def _particular_end(M: np.ndarray, T: float, n_steps: int, f_call, shift: float 
     return P
 
 
-def _global_solve(E: np.ndarray, steps, x_left: np.ndarray, n_steps: int) -> np.ndarray:
-    """Block-banded solve of the discretized two-point problem.
+def _global_system(E: np.ndarray, steps, x_left: np.ndarray, n_steps: int):
+    """CSC matrix and right-hand side of the discretized two-point problem.
 
-    Unknowns are the full state at every node; each interval contributes the
-    m-row equation Z_{k+1} - E Z_k = step_k and the inventory blocks of Z_0
-    and Z_N are pinned. Entries stay O(e^{growth dt}) so the system is
-    representable for horizons where single shooting overflows, and the
-    factorization splits stable from unstable modes implicitly.
+    Unknowns are the full state Z_k at every node k = 0..N, stacked node by
+    node. Rows 0..n-1 pin the inventory block of Z_0 to x_left, interval k
+    contributes the m rows Z_{k+1} - E Z_k = step_k starting at row n + k m,
+    and the last n rows pin the inventory block of Z_N to zero.
+
+    The CSC arrays are written directly. Column k m + c has up to m + 1
+    slots in row order: a 1 that pins Z_0 (k = 0) or closes interval k - 1,
+    then -E[:, c] in the rows of interval k, or at k = N the 1 that pins
+    Z_N. Zero slots are dropped, which also leaves out exact zeros of E, so
+    the sparsity pattern seen by splu's ordering depends only on E.
     """
     m = E.shape[0]
     n = m // 2
     size = (n_steps + 1) * m
-    A = sparse.lil_matrix((size, size))
+    comp = np.arange(m)
+    first = n + m * np.arange(n_steps + 1)  # first row of interval k; the end pins at k = N
+    rows = np.empty((n_steps + 1, m, m + 1), dtype=np.int64)
+    rows[:, :, 0] = first[:, None] - m + comp
+    rows[0, :, 0] = comp
+    rows[:, :, 1:] = first[:, None, None] + comp
+    vals = np.zeros((n_steps + 1, m, m + 1))
+    vals[:, :, 0] = 1.0
+    vals[0, n:, 0] = 0.0  # rate entries of Z_0 are free
+    vals[:-1, :, 1:] = -E.T
+    vals[-1, comp[:n], 1 + comp[:n]] = 1.0
+    keep = vals != 0.0
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(keep.sum(axis=2))
+    A = sparse.csc_matrix((vals[keep], rows[keep], indptr), shape=(size, size))
     rhs = np.zeros(size)
-    A[:n, :n] = np.eye(n)
     rhs[:n] = x_left
-    eye_m = np.eye(m)
-    for k in range(n_steps):
-        r = n + k * m
-        A[r:r + m, k * m:(k + 1) * m] = -E
-        A[r:r + m, (k + 1) * m:(k + 2) * m] = eye_m
-        if steps is not None:
-            rhs[r:r + m] = steps[k]
-    r = n + n_steps * m
-    A[r:r + n, n_steps * m:n_steps * m + n] = np.eye(n)
+    if steps is not None:
+        rhs[n:size - n] = steps.ravel()
+    return A, rhs
+
+
+def _global_solve(E: np.ndarray, steps, x_left: np.ndarray, n_steps: int) -> np.ndarray:
+    """Block-banded solve of the discretized two-point problem.
+
+    Factors the system of _global_system once with splu and its default
+    COLAMD column ordering. Entries stay O(e^{growth dt}) so the system is
+    representable for horizons where single shooting overflows, and the
+    factorization splits stable from unstable modes implicitly.
+    """
+    A, rhs = _global_system(E, steps, x_left, n_steps)
     try:
-        Z = splu(A.tocsc()).solve(rhs)
+        Z = splu(A).solve(rhs)
     except RuntimeError as exc:  # splu reports exact singularity this way
         raise SingularShootingMatrix(
             f"global boundary system is singular ({exc})"
         ) from exc
     if not np.all(np.isfinite(Z)):
         raise SingularShootingMatrix("global boundary solve produced non-finite values")
-    return Z.reshape(n_steps + 1, m)
+    return Z.reshape(n_steps + 1, E.shape[0])
 
 
 def _fundamental_solve(

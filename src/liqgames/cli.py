@@ -97,10 +97,11 @@ def _cmd_equilibrium(args) -> int:
         rates[i] = s.rate(t)
 
     header = ["t"] + [f"X_{i+1}" for i in range(n)] + [f"rate_{i+1}" for i in range(n)]
+    table = np.column_stack([t, pos.T, rates.T])
+    row_fmt = ",".join(["%.17g"] * table.shape[1])  # same digits as _fmt
     lines = [",".join(header)]
-    for k in range(t.size):
-        row = [t[k], *pos[:, k], *rates[:, k]]
-        lines.append(",".join(_fmt(v) for v in row))
+    # one row at a time: table.tolist() would hold every cell as a Python float
+    lines.extend(row_fmt % tuple(row.tolist()) for row in table)
     _write_text(args.out, "\n".join(lines) + "\n")
 
     residual = bvp.residual_report(strategies, problem)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
 from liqgames.errors import InvalidParam, QuadratureUnderResolved, UnsupportedCase
@@ -193,6 +194,43 @@ def test_stiff_horizon_with_drift():
     want = manufactured_solution(problem.market, (2.0, 2.0), (1.0, 2.0), 0.4, 4.0, grid)
     for i, s in enumerate(sol.strategies):
         assert np.max(np.abs(s.positions - want[i])) < 1e-8
+
+
+def dense_global_system(E, steps, x_left, n_steps):
+    """Block-by-block dense reference for bvp._global_system."""
+    m = E.shape[0]
+    n = m // 2
+    size = (n_steps + 1) * m
+    A = np.zeros((size, size))
+    rhs = np.zeros(size)
+    A[:n, :n] = np.eye(n)
+    rhs[:n] = x_left
+    for k in range(n_steps):
+        r = n + k * m
+        A[r:r + m, k * m:(k + 1) * m] = -E
+        A[r:r + m, (k + 1) * m:(k + 2) * m] = np.eye(m)
+        rhs[r:r + m] = steps[k]
+    A[size - n:, n_steps * m:n_steps * m + n] = np.eye(n)
+    return A, rhs
+
+
+@pytest.mark.parametrize("n, n_steps", [(3, 9), (10, 37)])
+def test_global_system_matches_block_reference(n, n_steps):
+    alphas = np.linspace(0.4, 1.6, n)
+    problem = make_problem(lam=0.05, alphas=alphas, x0=np.linspace(-1.0, 2.0, n), T=3.0)
+    E = expm(bvp.assemble(problem).matrix * (problem.T / n_steps))
+    E[-1, 0] = 0.0  # an exact zero must not be stored
+    steps = np.random.default_rng(n).normal(size=(n_steps, 2 * n))
+    A, rhs = bvp._global_system(E, steps, problem.x0, n_steps)
+    A_ref, rhs_ref = dense_global_system(E, steps, problem.x0, n_steps)
+    assert A.format == "csc" and A.has_sorted_indices
+    assert np.array_equal(A.toarray(), A_ref)
+    assert A.nnz == np.count_nonzero(A_ref)
+    assert np.array_equal(rhs, rhs_ref)
+
+    Z = bvp._global_solve(E, steps, problem.x0, n_steps)
+    want = np.linalg.solve(A_ref, rhs_ref).reshape(n_steps + 1, 2 * n)
+    assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from liqgames import closed_form
+from liqgames import bvp, closed_form
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
@@ -102,6 +102,24 @@ def test_equilibrium_bvp_route_and_tolerance_gate(tmp_path):
     code = main(["equilibrium", "--problem", str(src), "--out",
                  str(tmp_path / "het_t.csv"), "--residual-tol", "1e-12"])
     assert code == 4
+
+
+def test_equilibrium_stiff_reruns_are_byte_identical(tmp_path):
+    market = MarketParams(lam=0.02, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = (AgentSpec(1.0, 0.5), AgentSpec(-0.4, 1.0), AgentSpec(2.0, 1.8))
+    problem = validate_problem(market, agents, Horizon.finite(8.0))
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    assert growth * problem.T > bvp._BALANCE_THRESHOLD  # reaches the global solve
+    src = tmp_path / "stiff.json"
+    dump_problem(problem, str(src))
+    codes = [
+        main(["equilibrium", "--problem", str(src), "--out", str(tmp_path / name)])
+        for name in ("a.csv", "b.csv")
+    ]
+    assert codes[0] == codes[1] and codes[0] in (0, 4)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "a.json").read_text())["route"] == "bvp"
 
 
 def test_equilibrium_infinite_emission_window(tmp_path):
