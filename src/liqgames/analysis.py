@@ -36,6 +36,7 @@ from .model import (
     MarketParams,
     Problem,
     Strategy,
+    eval_strategy,
     validate_problem,
 )
 
@@ -600,7 +601,7 @@ def compute_equilibrium(problem: Problem, grid_steps: int = 400):
                 "closed_form",
             )
         system = bvp.assemble(problem)
-        sol = bvp.solve_finite(system, problem.x0, problem.T, grid_steps, problem=problem)
+        sol = bvp.solve_finite(system, problem.x0, problem.T, grid_steps)
         return list(sol.strategies), "bvp"
     if problem.equal_alpha:
         return closed_form.equal_alpha_infinite(m, problem.agents), "closed_form"
@@ -656,7 +657,8 @@ def parameter_scan(
     probe is (agent_index, time); the probe value is that agent's inventory.
     Scanning "n" keeps agent 1 fixed and splits the remaining aggregate
     inventory evenly; "alpha_sigma2" sets one common risk aversion. Failures
-    at individual points are recorded in the status column, not raised.
+    at individual points, including a probe time outside a point's horizon
+    (OutOfDomain), are recorded in the status column, not raised.
     """
     if parameter not in _SCAN_PARAMS:
         raise InvalidParam("parameter", f"must be one of {_SCAN_PARAMS}")
@@ -668,7 +670,7 @@ def parameter_scan(
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
             strategies, _ = compute_equilibrium(p2, grid_steps)
-            probe_value = float(strategies[agent_index].position(t_probe))
+            probe_value = float(eval_strategy(strategies[agent_index], t_probe)[0])
             out.append(ScanResult(value=float(v), probe_value=probe_value, status="ok"))
         except LiquidationGameError as exc:
             out.append(

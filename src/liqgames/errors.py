@@ -44,15 +44,16 @@ class DegenerateEigenbasis(LiquidationGameError):
 
 
 class SingularShootingMatrix(LiquidationGameError):
-    """The boundary solve of the shooting method is singular."""
+    """The finite-horizon boundary solve is singular or not finite.
+
+    Raised by both routes of the grid solver: the shooting route when its
+    n x n shooting matrix cannot be solved, and the global route when the
+    sparse system over every node is singular.
+    """
 
 
 class QuadratureUnderResolved(LiquidationGameError):
     """The drift quadrature error estimate exceeds its tolerance."""
-
-
-class StableSubspaceDeficient(LiquidationGameError):
-    """Fewer decaying directions than agents were found."""
 
 
 class HorizonMismatch(LiquidationGameError):

@@ -286,6 +286,19 @@ def test_parameter_scan_rows_and_error_status():
         analysis.parameter_scan(problem, "spread", [1.0], probe=(0, 1.0))
 
 
+@pytest.mark.parametrize("alphas, route", [((0.8, 0.8), "closed_form"), ((0.3, 1.1), "bvp")])
+def test_parameter_scan_probe_past_horizon(alphas, route):
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = [AgentSpec(1.12, alphas[0]), AgentSpec(2.06, alphas[1])]
+    problem = validate_problem(market, agents, Horizon.finite(2.0))
+    assert analysis.compute_equilibrium(problem)[1] == route
+    rows = analysis.parameter_scan(problem, "T", [0.5, 1.0, 1.5], probe=(0, 1.0))
+    assert rows[0].status == "OutOfDomain"
+    assert math.isnan(rows[0].probe_value)
+    assert [r.status for r in rows[1:]] == ["ok", "ok"]
+    assert rows[1].probe_value == 0.0
+
+
 def test_non_monotone_flags():
     assert analysis.non_monotone([1.0, 2.0, 3.0]) == (True, False)
     assert analysis.non_monotone([3.0, 2.0, 1.0]) == (False, True)

@@ -1,4 +1,4 @@
-"""Shooting solver for the coupled equilibrium boundary value problem.
+"""Grid solver for the coupled equilibrium boundary value problem.
 
 The convergence test uses a manufactured solution derived here from scratch:
 with one common risk aversion and constant drift b, the aggregate S = sum X_i
@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import InvalidParam, QuadratureUnderResolved, UnsupportedCase
+from liqgames.errors import InvalidParam, QuadratureUnderResolved
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -33,10 +33,9 @@ def make_problem(lam=1.0, gamma=1.0, sigma=1.0, alphas=(0.8, 0.8),
     return validate_problem(market, agents, Horizon.finite(T))
 
 
-def solve(problem, n_steps=400, **kwargs):
+def solve(problem, n_steps=400):
     system = bvp.assemble(problem)
-    return bvp.solve_finite(system, problem.x0, problem.T, n_steps,
-                            problem=problem, **kwargs)
+    return bvp.solve_finite(system, problem.x0, problem.T, n_steps, problem=problem)
 
 
 def manufactured_solution(market, alphas, x0, b, T, t):
@@ -162,14 +161,6 @@ def test_agent_permutation_symmetry():
     assert np.max(np.abs(a[2].positions - b[0].positions)) < 1e-12
 
 
-def test_solve_and_lstsq_agree():
-    problem = make_problem(alphas=(0.3, 1.1), x0=(1.5, -0.7))
-    a = solve(problem, 200, method="solve").strategies
-    b = solve(problem, 200, method="lstsq").strategies
-    for sa, sb in zip(a, b):
-        assert np.max(np.abs(sa.positions - sb.positions)) < 1e-9
-
-
 def test_stiff_horizon_global_solve():
     # growth * T ~ 87 overflows single shooting; the global branch must
     # still reproduce the closed form at machine precision
@@ -185,8 +176,9 @@ def test_stiff_horizon_global_solve():
 
 
 def test_stiff_horizon_with_drift():
-    # same stiff spectrum plus forcing: quadrature bookkeeping runs in a
-    # damped frame, the node values must still match the exact solution
+    # same stiff spectrum plus forcing: the drift check re-runs the global
+    # solve on the quadrature defect, the node values must still match the
+    # exact solution
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0, drift=DriftSpec.constant(0.4))
     sol = solve(problem, 400)
@@ -221,14 +213,13 @@ def test_global_system_matches_block_reference(n, n_steps):
     E = expm(bvp.assemble(problem).matrix * (problem.T / n_steps))
     E[-1, 0] = 0.0  # an exact zero must not be stored
     steps = np.random.default_rng(n).normal(size=(n_steps, 2 * n))
-    A, rhs = bvp._global_system(E, steps, problem.x0, n_steps)
+    A = bvp._global_system(E, n_steps)
     A_ref, rhs_ref = dense_global_system(E, steps, problem.x0, n_steps)
     assert A.format == "csc" and A.has_sorted_indices
     assert np.array_equal(A.toarray(), A_ref)
     assert A.nnz == np.count_nonzero(A_ref)
-    assert np.array_equal(rhs, rhs_ref)
 
-    Z = bvp._global_solve(E, steps, problem.x0, n_steps)
+    Z = bvp._global_route(E, n_steps)(problem.x0, steps)
     want = np.linalg.solve(A_ref, rhs_ref).reshape(n_steps + 1, 2 * n)
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -279,47 +270,28 @@ def test_underresolved_sampled_drift_raises():
     assert sol.quadrature_error < 1e-8
 
 
-# ---------------------------------------------------------------------------
-# scalar reductions
-# ---------------------------------------------------------------------------
+def richardson_difference(problem, n_steps):
+    """max|X_N - X_2N| at the shared nodes over max(1, max|X_N|), by brute force."""
+    coarse = np.array([s.positions for s in solve(problem, n_steps).strategies])
+    fine = np.array([s.positions for s in solve(problem, 2 * n_steps).strategies])
+    return np.max(np.abs(coarse - fine[:, ::2])) / max(1.0, np.max(np.abs(coarse)))
 
 
-def test_scalar_aggregate_matches_sum():
-    problem = make_problem()
-    strategies = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
-    total = float(np.sum(problem.x0))
-    pos, _ = bvp.solve_scalar("aggregate", problem.market, 0.8, 2,
-                              None, total, 2.0, 400)
-    grid = np.linspace(0.0, 2.0, 401)
-    want = strategies[0].position(grid) + strategies[1].position(grid)
-    assert np.max(np.abs(pos - want)) < 1e-10
-
-
-def test_scalar_single_kind_deviation_mode():
-    # alpha sigma^2 X + gamma X' - lam X'' = 0 with gamma = 0 decays at
-    # sqrt(alpha sigma^2 / lam); check against the plain sinh solution
-    market = MarketParams(lam=0.5, gamma=0.0, sigma=1.0, s0=0.0)
-    pos, _ = bvp.solve_scalar("single", market, 1.0, 1, None, 1.0, 2.0, 200)
-    grid = np.linspace(0.0, 2.0, 201)
-    nu = math.sqrt(1.0 / 0.5)
-    want = np.sinh(nu * (2.0 - grid)) / math.sinh(nu * 2.0)
-    assert np.max(np.abs(pos - want)) < 1e-12
-    with pytest.raises(InvalidParam):
-        bvp.solve_scalar("nonsense", market, 1.0, 1, None, 1.0, 2.0, 200)
-
-
-def test_reduction_route_matches_direct():
-    problem = make_problem(drift=DriftSpec.constant(0.5))
-    direct = solve(problem, 400)
-    reduced = bvp.solve_finite_by_reduction(problem, 400)
-    for a, b in zip(direct.strategies, reduced.strategies):
-        assert np.max(np.abs(a.positions - b.positions)) < 1e-9
-
-
-def test_reduction_rejects_unequal_alphas():
-    problem = make_problem(alphas=(0.3, 1.1))
-    with pytest.raises(UnsupportedCase):
-        bvp.solve_finite_by_reduction(problem, 200)
+def test_quadrature_error_measures_the_delivered_solution():
+    # the estimate re-solves only the quadrature defect, yet must equal the
+    # gap between the N-step and 2N-step solutions on both routes
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 2.0, 21)
+    rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
+    mild = make_problem(alphas=(0.3, 1.1), drift=rough)
+    stiff = make_problem(lam=0.05, alphas=(0.5, 2.0), x0=(1.0, 2.0), T=4.0,
+                         drift=DriftSpec.constant(0.4))
+    growth = np.max(np.linalg.eigvals(bvp.assemble(stiff).matrix).real)
+    assert growth * stiff.T > 16.0  # global route
+    for problem, n_steps, low in ((mild, 40, 1e-9), (stiff, 400, 1e-10)):
+        estimate = solve(problem, n_steps).quadrature_error
+        assert low < estimate < 1e-8
+        assert estimate == pytest.approx(richardson_difference(problem, n_steps), rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +299,11 @@ def test_reduction_rejects_unequal_alphas():
 # ---------------------------------------------------------------------------
 
 
-def test_solve_infinite_equal_alpha():
-    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=0.0)
-    agents = [AgentSpec(1.0, 1.0), AgentSpec(2.0, 1.0)]
-    problem = validate_problem(market, agents, Horizon.infinite())
-    system = bvp.assemble(problem)
-    strategies = bvp.solve_infinite(system, problem.x0, problem)
-    reference = closed_form.equal_alpha_infinite(market, agents)
-    t = np.linspace(0.0, 15.0, 61)
-    for s, ref in zip(strategies, reference):
-        assert np.max(np.abs(s.position(t) - ref.position(t))) < 1e-12
-
-
-def test_solve_infinite_two_player_heterogeneous():
+def test_two_player_infinite_residual_and_boundaries():
     market = MarketParams(lam=2.0, gamma=0.1, sigma=1.0, s0=0.0)
     agents = [AgentSpec(5.0, 0.33), AgentSpec(5.0, 0.66)]
     problem = validate_problem(market, agents, Horizon.infinite())
-    system = bvp.assemble(problem)
-    strategies = bvp.solve_infinite(system, problem.x0, problem)
+    strategies = closed_form.two_player_infinite(market, agents[0], agents[1])[:2]
     report = bvp.residual_report(strategies, problem)
     assert report.relative < 1e-12
     for s, a in zip(strategies, agents):

@@ -308,6 +308,21 @@ def test_system_matrix_shape_and_coupling():
     assert np.array_equal(M[:3, 3:], np.eye(3))
 
 
+@pytest.mark.parametrize("alphas", [(0.4, 1.3), (0.2, 0.7, 1.1, 1.6, 2.4)])
+def test_system_matrix_rate_rows_solve_second_order_form(alphas):
+    # the conditions read lam (I + J) X'' = A X + gamma (I - J) X' - b, so the
+    # rate rows of M must be (I + J)^{-1} times those coefficients
+    market = MarketParams(lam=0.7, gamma=0.9, sigma=1.3, s0=0.0)
+    n = len(alphas)
+    eye, J = np.eye(n), np.ones((n, n))
+    M = system_matrix(market, np.array(alphas))
+    A = market.sigma**2 * np.diag(alphas)
+    want_pos = np.linalg.solve(eye + J, A / market.lam)
+    want_rate = np.linalg.solve(eye + J, market.gamma * (eye - J) / market.lam)
+    assert np.allclose(M[n:, :n], want_pos, rtol=0.0, atol=1e-12)
+    assert np.allclose(M[n:, n:], want_rate, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
