@@ -6,6 +6,8 @@ deterministic integral of products of inventories and trading rates, and the
 martingale sigma * int X_i dW. Mean-variance and CARA objectives therefore
 reduce to a handful of integrals, which this module computes in closed form
 for exponential-sum strategies and by composite Simpson quadrature on grids.
+The closed form integrates every pair of exponential terms at once: one
+numpy pair matrix per evaluation, whose block sums are the five integrals.
 
 Also here: Monte Carlo revenue simulation (counter-based RNG so runs are
 reproducible), the predatory / liquidity-provision classification, effective
@@ -166,81 +168,86 @@ class DeviationReport:
 # ---------------------------------------------------------------------------
 
 
-def _tm_exp_integral(m: int, s: float, T: float) -> float:
-    """int_0^T t^m exp(s t) dt for s <= 0."""
-    if abs(s) * T < 0.5:
-        acc = 0.0
-        term = 1.0  # (sT)^j / j!
-        for j in range(30):
-            if j > 0:
-                term *= s * T / j
-            acc += term / (m + j + 1)
-        return acc * T ** (m + 1)
-    val = math.expm1(s * T) / s
-    for k in range(1, m + 1):
-        val = (T**k * math.exp(s * T) - k * val) / s
-    return val
+# A term list is a (coefs, rates, anchors, degrees) tuple of equal-length
+# arrays, one entry per term c (t - a)^d exp(r (t - a)) with d in {0, 1}.
+
+_SERIES_LEN = 30
+# 1 / (k + j + 1): series index j down the rows, moment order k = 0, 1, 2 across
+_SERIES_DIV = 1.0 / (np.arange(_SERIES_LEN)[:, None] + np.arange(3) + 1.0)
 
 
-def _tm_exp_anchored_end(m: int, s: float, T: float) -> float:
-    """int_0^T t^m exp(s (t - T)) dt for s >= 0."""
-    return sum(
-        math.comb(m, k) * T ** (m - k) * (-1.0) ** k * _tm_exp_integral(k, -s, T)
-        for k in range(m + 1)
-    )
+def _tm_exp_moments(u: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T t^k exp(u t) dt for k = 0, 1, 2 and every u <= 0; shape (3, u.size).
 
-
-def _poly_coeffs(a1: float, d1: int, a2: float, d2: int):
-    """(t - a1)^d1 (t - a2)^d2 expanded in powers of t, degrees in {0, 1}."""
-    if d1 == 0 and d2 == 0:
-        return (1.0,)
-    if d1 == 1 and d2 == 1:
-        return (a1 * a2, -(a1 + a2), 1.0)
-    a = a1 if d1 == 1 else a2
-    return (-a, 1.0)
-
-
-def _pair_integral(term1, term2, T: Optional[float]) -> float:
-    c1, r1, a1, d1 = term1
-    c2, r2, a2, d2 = term2
-    if c1 == 0.0 or c2 == 0.0:
-        return 0.0
-    s = r1 + r2
-    beta = _poly_coeffs(a1, d1, a2, d2)
-    if T is None:
-        # infinite horizon: strictly decaying terms only
-        scale = c1 * c2 * math.exp(-r1 * a1 - r2 * a2)
-        return scale * sum(
-            b * math.factorial(m) / (-s) ** (m + 1) for m, b in enumerate(beta)
-        )
-    if s >= 0:
-        scale = c1 * c2 * math.exp(r1 * (T - a1) + r2 * (T - a2))
-        return scale * sum(b * _tm_exp_anchored_end(m, s, T) for m, b in enumerate(beta))
-    scale = c1 * c2 * math.exp(-r1 * a1 - r2 * a2)
-    return scale * sum(b * _tm_exp_integral(m, s, T) for m, b in enumerate(beta))
-
-
-def _terms_of(s: ExpSumStrategy):
-    return list(zip(s.coefs, s.rates, s.anchors, s.degrees))
-
-
-def _dterms_of(s: ExpSumStrategy):
-    """Term list of the derivative; degree-1 terms split into two."""
-    out = []
-    for c, r, a, d in _terms_of(s):
-        if d == 0:
-            out.append((c * r, r, a, 0))
-        else:
-            out.append((c, r, a, 0))
-            out.append((c * r, r, a, 1))
+    |u| T < 0.5 sums 30 terms of the power series, anything larger the
+    upward recurrence I_k = (T^k e^{uT} - k I_{k-1}) / u, which cancels
+    badly for small |u| T; each entry is evaluated by one of them only.
+    """
+    out = np.empty((3, u.size))
+    x = u * T
+    small = np.abs(x) < 0.5
+    # (uT)^j / j! as the running product of uT / j
+    steps = x[small, None] / np.arange(1, _SERIES_LEN)
+    powers = np.cumprod(np.hstack([np.ones((steps.shape[0], 1)), steps]), axis=1)
+    out[:, small] = (powers @ _SERIES_DIV).T * T ** np.arange(1.0, 4.0)[:, None]
+    big = ~small
+    ub, xb = u[big], x[big]
+    e = np.exp(xb)
+    out[0, big] = np.expm1(xb) / ub
+    out[1, big] = (T * e - out[0, big]) / ub
+    out[2, big] = (T * T * e - 2.0 * out[1, big]) / ub
     return out
 
 
-def _product_integral(terms1, terms2, T: Optional[float]) -> float:
-    return sum(_pair_integral(p, q, T) for p in terms1 for q in terms2)
+def _pair_matrix(rows, cols, T: Optional[float]) -> np.ndarray:
+    """int_0^T (int_0^inf when T is None) of every row-term x column-term product.
+
+    A pair with s = r1 + r2 < 0, and every pair on the infinite horizon, is
+    integrated from its value at t = 0; a pair with s >= 0 from its value at
+    T, substituting t -> T - t, so no growing exponential is ever evaluated.
+    Pairs with a zero coefficient are exactly 0.
+    """
+    c1, r1, a1, d1 = (x[:, None] for x in rows)
+    c2, r2, a2, d2 = (x[None, :] for x in cols)
+    s = r1 + r2
+    # (t - a1)^d1 (t - a2)^d2 = beta0 + beta1 t + beta2 t^2
+    p1 = np.where(d1 == 1, -a1, 1.0)
+    p2 = np.where(d2 == 1, -a2, 1.0)
+    beta = (p1 * p2, p1 * d2 + d1 * p2, d1 * d2)
+    from_zero = -r1 * a1 - r2 * a2
+    if T is None:
+        # int_0^inf t^m e^{st} dt = m! / (-s)^{m+1}; infinite-horizon rates are < 0
+        neg = -s
+        moments = beta[0] / neg + beta[1] / neg**2 + 2.0 * beta[2] / neg**3
+        expo = from_zero
+    else:
+        i0, i1, i2 = _tm_exp_moments(-np.abs(s).ravel(), T).reshape((3,) + s.shape)
+        # anchored at T: t^m -> sum_k C(m, k) T^(m-k) (-1)^k t^k with e^{-st}
+        up = s >= 0
+        j1 = np.where(up, T * i0 - i1, i1)
+        j2 = np.where(up, T * T * i0 - 2.0 * T * i1 + i2, i2)
+        moments = beta[0] * i0 + beta[1] * j1 + beta[2] * j2
+        expo = np.where(up, r1 * (T - a1) + r2 * (T - a2), from_zero)
+    live = (c1 != 0.0) & (c2 != 0.0)
+    return np.where(live, c1 * c2 * np.exp(np.where(live, expo, 0.0)) * moments, 0.0)
 
 
-_CONST_ONE = [(1.0, 0.0, 0.0, 0)]
+def _terms(s: ExpSumStrategy):
+    return s.coefs, s.rates, s.anchors, s.degrees
+
+
+def _dterms(s: ExpSumStrategy):
+    """Terms of the derivative: c r (t - a)^d e^{r(t-a)}, plus c e^{r(t-a)} if d = 1."""
+    c, r, a, d = _terms(s)
+    lin = d == 1
+    return _stack([(c * r, r, a, d), (c[lin], r[lin], a[lin], 0 * d[lin])])
+
+
+def _stack(term_lists):
+    return tuple(np.concatenate(parts) for parts in zip(*term_lists))
+
+
+_CONST_ONE = (np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +337,8 @@ def mean_variance(
     """Objective of agent agent_index playing strategy_i against others.
 
     Exponential-sum profiles with zero or constant drift are integrated in
-    closed form; any grid strategy or sampled drift routes through composite
+    closed form, as block sums of one term-pair matrix (finite or infinite
+    horizon); any grid strategy or sampled drift routes through composite
     Simpson on a shared grid. others must hold the n-1 competitor strategies
     in agent order with agent_index skipped.
     """
@@ -346,39 +354,27 @@ def mean_variance(
 
     drift = problem.market.drift
     all_exp = all(isinstance(s, ExpSumStrategy) for s in profile)
-    if not problem.horizon.is_finite:
-        if not all_exp:
-            raise HorizonMismatch("infinite-horizon evaluation needs exponential sums")
-        ti = _terms_of(strategy_i)
-        di = _dterms_of(strategy_i)
-        dj = [q for s in others for q in _dterms_of(s)]
-        return _result_from_integrals(
-            problem,
-            agent_index,
-            strategy_i.initial_position(),
-            0.0,
-            _product_integral(ti, dj, None),
-            _product_integral(di, dj, None),
-            _product_integral(di, di, None),
-            _product_integral(ti, ti, None),
-        )
-
+    if not problem.horizon.is_finite and not all_exp:
+        raise HorizonMismatch("infinite-horizon evaluation needs exponential sums")
     T = problem.T
     if all_exp and drift.kind in ("zero", "constant"):
-        ti = _terms_of(strategy_i)
-        di = _dterms_of(strategy_i)
-        dj = [q for s in others for q in _dterms_of(s)]
+        # rows: X_i, X_i'; columns: the others' rates, X_i', X_i, the constant 1
+        ti, di = _terms(strategy_i), _dterms(strategy_i)
+        cols = _stack([_dterms(s) for s in others] + [di, ti, _CONST_ONE])
+        pairs = _pair_matrix(_stack([ti, di]), cols, T)
+        nt, nd = ti[0].size, di[0].size
+        nj = cols[0].size - nd - nt - 1
+        pos, rate = pairs[:nt], pairs[nt:]
         b0 = drift(0.0) if drift.kind == "constant" else 0.0
-        i_drift = b0 * _product_integral(ti, _CONST_ONE, T) if b0 else 0.0
         return _result_from_integrals(
             problem,
             agent_index,
             strategy_i.initial_position(),
-            i_drift,
-            _product_integral(ti, dj, T),
-            _product_integral(di, dj, T),
-            _product_integral(di, di, T),
-            _product_integral(ti, ti, T),
+            b0 * pos[:, -1].sum(),
+            pos[:, :nj].sum(),
+            rate[:, :nj].sum(),
+            rate[:, nj : nj + nd].sum(),
+            pos[:, nj + nd : -1].sum(),
         )
 
     grids = [s for s in profile if isinstance(s, GridStrategy)]
@@ -474,15 +470,14 @@ def monte_carlo_revenues(
         trunc = 40.0 / abs(_slowest_rate(profile))
         t_end = trunc
         # X_i(t_end + u) as an exponential sum in u; a degree-1 term splits
-        shifted = []
-        for c, r, a, d in _terms_of(strategy_i):
-            lead = c * math.exp(r * (t_end - a))
-            if d == 0:
-                shifted.append((lead, r, 0.0, 0))
-            else:
-                shifted.append((lead * (t_end - a), r, 0.0, 0))
-                shifted.append((lead, r, 0.0, 1))
-        tail = problem.market.sigma**2 * _product_integral(shifted, shifted, None)
+        c, r, a, d = _terms(strategy_i)
+        lead = c * np.exp(r * (t_end - a))
+        lin = d == 1
+        shifted = _stack([
+            (lead * np.where(lin, t_end - a, 1.0), r, np.zeros_like(a), 0 * d),
+            (lead[lin], r[lin], np.zeros_like(a[lin]), d[lin]),
+        ])
+        tail = problem.market.sigma**2 * _pair_matrix(shifted, shifted, None).sum()
     t = np.linspace(0.0, t_end, config.time_steps + 1)
     xi = np.asarray(strategy_i.position(t), dtype=float)
     dt = t[1] - t[0]
@@ -552,7 +547,7 @@ def effective_liquidation_time(strategy: Strategy, fraction: float = 0.99) -> fl
     else:
         # |X(t)| <= envelope(t) = sum_k |c_k (t-a_k)^{d_k} e^{r_k (t-a_k)}|,
         # which is decreasing once every term is (t >= a_k + d_k/|r_k|)
-        terms = _terms_of(strategy)
+        terms = list(zip(*_terms(strategy)))
 
         def envelope(t: float) -> float:
             return sum(

@@ -322,6 +322,23 @@ def validate_problem(market: MarketParams, agents: Sequence[AgentSpec], horizon:
 # ---------------------------------------------------------------------------
 
 
+def _in_domain(t, T: Optional[float]) -> np.ndarray:
+    """t as a float array; OutOfDomain before 0 or past T (None: no end)."""
+    t = np.asarray(t, dtype=float)
+    # float compares for scalars, min/max for arrays: this runs on every evaluation
+    if t.ndim == 0:
+        lo = hi = float(t)
+    elif t.size:
+        lo, hi = t.min(), t.max()
+    else:
+        return t
+    if lo < 0.0:
+        raise OutOfDomain("t must be >= 0")
+    if T is not None and hi > T * (1.0 + 1e-12):
+        raise OutOfDomain(f"t must be <= {T}")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSumStrategy:
     """Inventory path X(t) = sum_k c_k (t - a_k)^{d_k} exp(r_k (t - a_k)).
@@ -334,7 +351,8 @@ class ExpSumStrategy:
     path is the rate-zero double root of the mode equation.
 
     Finite-horizon strategies must end at zero inventory; infinite-horizon
-    strategies must have strictly decaying terms.
+    strategies must have strictly decaying terms. Evaluating before 0 or past
+    a finite T raises OutOfDomain instead of extrapolating.
     """
 
     coefs: np.ndarray
@@ -386,7 +404,7 @@ class ExpSumStrategy:
         return list(zip(math_coefs.tolist(), self.rates.tolist()))
 
     def _accumulate(self, t, order: int):
-        t = np.asarray(t, dtype=float)
+        t = _in_domain(t, self.horizon.T)
         out = np.zeros_like(t)
         for c, r, a, d in zip(self.coefs, self.rates, self.anchors, self.degrees):
             u = t - a
@@ -441,7 +459,8 @@ class GridStrategy:
     Positions are linearly interpolated. The trading rate at the nodes is
     reconstructed by centered differences in the interior and second-order
     one-sided differences at the ends, then interpolated linearly in between.
-    The final position must be exactly zero.
+    The final position must be exactly zero. Evaluating outside [0, T] raises
+    OutOfDomain instead of clamping.
     """
 
     grid: np.ndarray
@@ -489,12 +508,12 @@ class GridStrategy:
         return out
 
     def position(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _in_domain(t, float(self.grid[-1]))
         out = np.interp(t, self.grid, self.positions)
         return out if out.ndim else float(out)
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _in_domain(t, float(self.grid[-1]))
         out = np.interp(t, self.grid, self.node_rates())
         return out if out.ndim else float(out)
 
@@ -509,14 +528,8 @@ def eval_strategy(strategy: Strategy, t):
     """Evaluate (position, trading rate) at time t, scalar or array.
 
     Raises OutOfDomain outside [0, T] for finite horizons or for t < 0 on
-    infinite horizons.
+    infinite horizons, as every strategy evaluation does.
     """
-    ta = np.asarray(t, dtype=float)
-    hz = strategy.horizon
-    if np.any(ta < 0.0):
-        raise OutOfDomain("t must be >= 0")
-    if hz.is_finite and np.any(ta > hz.T * (1.0 + 1e-12)):
-        raise OutOfDomain(f"t must be <= {hz.T}")
     return strategy.position(t), strategy.rate(t)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from liqgames import analysis, closed_form
 from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
@@ -83,6 +84,67 @@ def test_sampled_route_matches_exact_route():
     sampled = analysis.mean_variance_sampled(t, positions, rates, problem, 0)
     assert abs(sampled.expected_revenue - exact.expected_revenue) < 1e-9
     assert abs(sampled.variance - exact.variance) < 1e-9
+
+
+def test_sampled_route_matches_exact_route_n20():
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    x0 = np.linspace(-1.0, 3.0, 20)
+    problem = validate_problem(market, [AgentSpec(x, 0.7) for x in x0], Horizon.finite(1.5))
+    strats = closed_form.equal_alpha_finite(market, problem.agents, 1.5)
+    t = np.linspace(0.0, 1.5, 4001)
+    positions = np.vstack([s.position(t) for s in strats])
+    rates = np.vstack([s.rate(t) for s in strats])
+    for i in range(20):
+        exact = analysis.mean_variance(strats[i], strats[:i] + strats[i + 1:], problem, i)
+        sampled = analysis.mean_variance_sampled(t, positions, rates, problem, i)
+        assert sampled.expected_revenue == pytest.approx(exact.expected_revenue, rel=1e-8)
+        assert sampled.variance == pytest.approx(exact.variance, rel=1e-8)
+
+
+def _quad_pair(p, q, T):
+    def f(t):
+        return math.prod(c * (t - a) ** d * math.exp(r * (t - a)) for c, r, a, d in (p, q))
+
+    if T is None:
+        return quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    # break points where the stiff terms concentrate, next to either end
+    pts = [0.01, 0.1, T - 0.1, T - 0.01]
+    return quad(f, 0.0, T, points=pts, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+def test_pair_matrix_matches_quad():
+    def terms(*rows):
+        c, r, a, d = zip(*rows)
+        return np.array(c), np.array(r), np.array(a), np.array(d)
+
+    for T in (2.0, 40.0):
+        stiff = 250.0 / T
+        # (coef, rate, anchor, degree); growing terms anchored at T as strategies do
+        rows = terms(
+            (1.3, -0.1, 0.0, 0), (-0.8, -0.004, 0.0, 1), (0.6, 0.7, T, 0),
+            (0.9, 0.3, T, 1), (0.4, stiff, T, 0),
+        )
+        cols = terms(
+            (1.0, -0.05, 0.0, 0), (0.5, -2.0, 0.0, 1), (-1.1, -0.7, 0.0, 0),
+            (0.7, 0.3, T, 1), (1.5, stiff, T, 1), (0.3, -stiff, 0.0, 0), (2.0, 0.0, 0.0, 0),
+        )
+        s = rows[1][:, None] + cols[1][None, :]
+        # the series (|s|T < 0.5), the recurrence, s = 0 exactly, s > 0 and s T = 500 all occur
+        assert np.any((s < 0) & (np.abs(s) * T < 0.5)) and np.any((s < 0) & (np.abs(s) * T > 0.5))
+        assert np.any(s == 0.0) and np.any(s > 0) and np.max(s) * T == pytest.approx(500.0)
+        got = analysis._pair_matrix(rows, cols, T)
+        want = np.array([[_quad_pair(p, q, T) for q in zip(*cols)] for p in zip(*rows)])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+        # a zero coefficient is an exact zero even beside a term that would overflow
+        dead = terms((0.0, 800.0, 0.0, 0), (0.0, 800.0, 0.0, 1))
+        assert np.all(analysis._pair_matrix(dead, cols, T) == 0.0)
+
+    rows = terms((1.0, -0.1, 0.0, 0), (-0.7, -0.05, 0.0, 1), (0.5, -3.0, 0.5, 1))
+    cols = terms((1.2, -0.2, 0.0, 0), (0.3, -2.0, 0.0, 1), (0.8, -0.4, 1.0, 0))
+    got = analysis._pair_matrix(rows, cols, None)
+    want = np.array([[_quad_pair(p, q, None) for q in zip(*cols)] for p in zip(*rows)])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -241,6 +241,24 @@ def test_eval_strategy_domain():
     assert pos_inf == pytest.approx(math.exp(-100.0), abs=1e-60)
 
 
+def test_strategies_raise_out_of_domain():
+    # the types check their own domain: no extrapolated or clamped values
+    expsum = make_expsum()  # T = 3
+    g = np.linspace(0.0, 3.0, 33)
+    grid = GridStrategy(grid=g, positions=g * (3.0 - g))
+    calls = [expsum.position, expsum.rate, expsum.accel, grid.position, grid.rate]
+    for f in calls:
+        assert np.all(np.isfinite(f(np.array([0.0, 1.5, 3.0]))))
+        for bad in (3.5, -0.1, np.array([1.0, 3.0 + 1e-9]), np.array([-1e-9, 1.0])):
+            with pytest.raises(OutOfDomain):
+                f(bad)
+    inf = ExpSumStrategy(coefs=np.array([1.0]), rates=np.array([-1.0]),
+                         anchors=np.array([0.0]), horizon=Horizon.infinite())
+    assert inf.position(1e3) == 0.0
+    with pytest.raises(OutOfDomain):
+        inf.rate(-0.1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(range(4)))
 def test_expsum_term_order_irrelevant(perm):
