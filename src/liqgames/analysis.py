@@ -416,6 +416,8 @@ def mean_variance_sampled(
     rates = np.asarray(rates, dtype=float)
     if positions.shape != (problem.n, t.size) or rates.shape != positions.shape:
         raise GridMismatch("sampled profile shape mismatch")
+    if t.size < 4:  # before steps[0]; _simpson_weights has the same limit
+        raise InvalidParam("grid", "need at least 3 intervals for quadrature")
     steps = np.diff(t)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise GridMismatch("quadrature grid must be uniform")

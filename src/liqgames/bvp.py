@@ -130,7 +130,6 @@ class BvpSolution:
 
     strategies: Tuple[GridStrategy, ...]
     derivatives: np.ndarray
-    residuals: ResidualReport
     quadrature_error: Optional[float]
     terminal_defect: float
 
@@ -268,7 +267,6 @@ def solve_finite(
     x0: Sequence[float],
     T: float,
     n_steps: int = 400,
-    problem: Optional[Problem] = None,
 ) -> BvpSolution:
     """Numerical equilibrium over [0, T] on a uniform grid of n_steps intervals.
 
@@ -277,8 +275,8 @@ def solve_finite(
     is raised when the estimate exceeds 1e-8. After the solve, terminal
     inventories are snapped to exactly zero (the defect is recorded first)
     and the terminal rate entry is recomputed from the snapped positions
-    with the one-sided difference rule. Passing the originating problem
-    attaches an optimality residual report.
+    with the one-sided difference rule. The optimality residual of the
+    result is measured separately, by residual_report.
     """
     x0 = np.asarray(x0, dtype=float)
     n = system.n_agents
@@ -318,21 +316,9 @@ def solve_finite(
     Y[-1, :] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * dt)
     grid = np.linspace(0.0, T, n_steps + 1)
     strategies = tuple(GridStrategy(grid=grid, positions=X[:, i]) for i in range(n))
-    if problem is not None:
-        report = residual_report(strategies, problem)
-    else:
-        report = ResidualReport(
-            max_residual=float("nan"),
-            scale=float("nan"),
-            relative=float("nan"),
-            boundary_start=0.0,
-            boundary_end=defect,
-            n_probes=0,
-        )
     return BvpSolution(
         strategies=strategies,
         derivatives=Y,
-        residuals=report,
         quadrature_error=quad_err,
         terminal_defect=defect,
     )

@@ -6,10 +6,14 @@ Subcommands:
   oracle-check  cross-validate the solver against the discrete oracle
   classify      role of an inventory-less agent for given market parameters
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 iteration did not converge, 4 tolerance breached. Numbers are written
-with 17 significant digits, so re-reading a CSV reproduces the exact
-floats and repeated runs produce byte-identical files.
+Exit codes: 0 success, 1 configuration error (including flags argparse
+rejects, and tolerances or a t-max that are negative or not finite),
+2 solver failure (including an oracle fixed point that fails its
+verification sweep), 4 tolerance breached. A run that stops on an error
+writes no output file; exit 4, and exit 2 from a failed verification
+sweep, still write theirs so the breach can be inspected. Numbers are
+written with 17 significant digits, so re-reading a CSV reproduces the
+exact floats and repeated runs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -29,8 +33,25 @@ from .model import ExpSumStrategy, MarketParams, load_problem
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
-_EXIT_NO_CONVERGENCE = 3
 _EXIT_TOLERANCE = 4
+
+
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a bad flag, which here means solver failure
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -52,8 +73,8 @@ def _emission_window(problem, strategies, t_max: Optional[float]) -> float:
             raise InvalidParam("t-max", "only applies to infinite horizons")
         return problem.T
     if t_max is not None:
-        if t_max <= 0:
-            raise InvalidParam("t-max", "must be > 0")
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise InvalidParam("t-max", "must be finite and > 0")
         return t_max
     slowest = max(float(np.max(s.rates)) for s in strategies)
     return math.log(100.0) / abs(slowest)  # slowest mode down to 1 percent
@@ -96,14 +117,6 @@ def _cmd_equilibrium(args) -> int:
         pos[i] = s.position(t)
         rates[i] = s.rate(t)
 
-    header = ["t"] + [f"X_{i+1}" for i in range(n)] + [f"rate_{i+1}" for i in range(n)]
-    table = np.column_stack([t, pos.T, rates.T])
-    row_fmt = ",".join(["%.17g"] * table.shape[1])  # same digits as _fmt
-    lines = [",".join(header)]
-    # one row at a time: table.tolist() would hold every cell as a Python float
-    lines.extend(row_fmt % tuple(row.tolist()) for row in table)
-    _write_text(args.out, "\n".join(lines) + "\n")
-
     residual = bvp.residual_report(strategies, problem)
     evaluations = [
         analysis.mean_variance_sampled(t, pos, rates, problem, i).to_dict()
@@ -137,6 +150,15 @@ def _cmd_equilibrium(args) -> int:
             ).to_dict()
             for i in range(n)
         ]
+
+    # written only now, so a run that raises leaves no partial output
+    header = ["t"] + [f"X_{i+1}" for i in range(n)] + [f"rate_{i+1}" for i in range(n)]
+    table = np.column_stack([t, pos.T, rates.T])
+    row_fmt = ",".join(["%.17g"] * table.shape[1])  # same digits as _fmt
+    lines = [",".join(header)]
+    # one row at a time: table.tolist() would hold every cell as a Python float
+    lines.extend(row_fmt % tuple(row.tolist()) for row in table)
+    _write_text(args.out, "\n".join(lines) + "\n")
     side_path = _sidecar_path(args.out)
     _write_json(side_path, sidecar)
 
@@ -192,9 +214,7 @@ def _cmd_oracle_check(args) -> int:
     problem = load_problem(args.problem)
     strategies, route = analysis.compute_equilibrium(problem, grid_steps=args.grid)
     game = oracle.DiscreteGame(problem, args.grid)
-    paths, report = oracle.iterate_nash(
-        game, damping=args.damping, max_sweeps=args.max_sweeps
-    )
+    paths, report = oracle.iterate_nash(game)
     gaps = oracle.compare(game, paths, strategies)
     out = {
         "route": route,
@@ -206,10 +226,11 @@ def _cmd_oracle_check(args) -> int:
     if args.out:
         _write_json(args.out, out)
     print(f"route: {route}")
-    print(f"oracle sweeps: {report.sweeps} (converged: {report.converged})")
+    print(f"oracle fixed-point gap: {report.max_update:.3e} (converged: {report.converged})")
     print(f"max relative gap: {out['max_gap']:.3e} (tolerance {args.tol:.3e})")
     if not report.converged:
-        return _EXIT_NO_CONVERGENCE
+        print("oracle fixed point failed its verification sweep", file=sys.stderr)
+        return _EXIT_SOLVER
     if out["max_gap"] > args.tol:
         return _EXIT_TOLERANCE
     return _EXIT_OK
@@ -223,7 +244,7 @@ def _cmd_classify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="liqgames",
         description="Nash equilibria for multi-agent optimal liquidation",
     )
@@ -241,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     eq.add_argument(
         "--residual-tol",
-        type=float,
+        type=_tolerance,
         default=1e-6,
         help="exit 4 if the relative equilibrium residual exceeds this",
     )
@@ -266,9 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oc = sub.add_parser("oracle-check", help="cross-validate against the discrete oracle")
     oc.add_argument("--problem", required=True)
     oc.add_argument("--grid", type=int, default=200)
-    oc.add_argument("--tol", type=float, default=1e-2)
-    oc.add_argument("--damping", type=float, default=0.5)
-    oc.add_argument("--max-sweeps", type=int, default=10_000)
+    oc.add_argument("--tol", type=_tolerance, default=1e-2)
     oc.add_argument("--out", default=None, help="optional JSON report path")
     oc.set_defaults(func=_cmd_oracle_check)
 
@@ -282,11 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidParam, UnsupportedCase, OSError, ValueError) as exc:
+    except (_UsageError, InvalidParam, UnsupportedCase, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except LiquidationGameError as exc:

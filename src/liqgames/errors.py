@@ -68,5 +68,9 @@ class IndefiniteHessian(LiquidationGameError):
     """The discrete best-response objective is not strictly concave."""
 
 
+class SingularNashSystem(LiquidationGameError):
+    """The discrete oracle's stacked first-order system is singular."""
+
+
 class NeverReached(LiquidationGameError):
     """The requested liquidation fraction is never attained."""

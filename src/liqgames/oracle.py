@@ -1,4 +1,4 @@
-"""Discrete-game oracle: equilibrium by best-response iteration.
+"""Discrete-game oracle: the time-stepped game's Nash equilibrium, solved directly.
 
 Independent cross-check for the differential-equation solvers. Strategies
 are piecewise-linear inventory paths on a uniform grid; each agent's
@@ -8,23 +8,25 @@ objective is the midpoint-rule discretization of the running payoff
 
 with q the agent's inventory, p its trading rate and s the competitors'
 aggregate rate. No optimality condition from the continuous model enters:
-the discrete objective is concave and quadratic in the interior node values,
-so each best response is one symmetric tridiagonal solve, and a damped
-Gauss-Seidel sweep over agents converges to the discrete Nash equilibrium.
+each objective is strictly concave and quadratic in the agent's interior
+nodes, so a best response is one tridiagonal solve, and the Nash equilibrium
+solves all agents' stacked first-order conditions, one banded linear system.
 Discretization error against the continuous equilibrium is O(1/N^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
-from .errors import IndefiniteHessian, InvalidParam
-from .model import GridStrategy, Problem
+from .errors import IndefiniteHessian, InvalidParam, SingularNashSystem
+from .model import Problem
 
 __all__ = ["DiscreteGame", "FixedPointReport", "iterate_nash", "compare"]
+
+_FIXED_POINT_TOL = 1e-10  # verification sweep, relative to max(1, max |x0|)
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,7 @@ class FixedPointReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "sweeps": self.sweeps,
-            "max_update": self.max_update,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 class DiscreteGame:
@@ -68,7 +65,8 @@ class DiscreteGame:
         )
         lam = problem.market.lam
         sig2 = problem.market.sigma**2
-        self._off = np.empty(problem.n)  # Hessian off-diagonal per agent
+        self._off = np.empty(problem.n)  # negated Hessian, per agent:
+        self._diag = np.empty(problem.n)  # off-diagonal and diagonal
         self._factors = []
         for i, alpha in enumerate(problem.alphas):
             off = 2.0 * lam / self.dt - alpha * sig2 * self.dt / 4.0
@@ -83,11 +81,7 @@ class DiscreteGame:
                     "discrete objective is not strictly concave"
                 ) from exc
             self._off[i] = off
-
-    def initial_paths(self) -> np.ndarray:
-        """Straight-line liquidation for every agent, shape (n, n_steps+1)."""
-        ramp = 1.0 - self.grid / self.grid[-1]
-        return np.outer(self.problem.x0, ramp)
+            self._diag[i] = diag
 
     def best_response(self, agent_index: int, paths: np.ndarray) -> np.ndarray:
         """Maximize agent agent_index's objective given the others' paths."""
@@ -125,44 +119,49 @@ class DiscreteGame:
         )
         return float(self.dt * np.sum(run))
 
-    def strategies(self, paths: np.ndarray) -> list:
-        snapped = paths.copy()
-        snapped[:, -1] = 0.0
-        return [GridStrategy(grid=self.grid, positions=row) for row in snapped]
 
+def iterate_nash(game: DiscreteGame):
+    """Discrete Nash equilibrium: one banded solve, then one verification sweep.
 
-def iterate_nash(
-    game: DiscreteGame,
-    initial_paths: Optional[np.ndarray] = None,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-):
-    """Damped Gauss-Seidel best-response iteration.
-
-    Each sweep updates agents in order, mixing the new best response with
-    weight damping into the current path. Stops when the largest node update
-    in a sweep falls below tol * max(1, max |x0|). Returns (paths, report);
-    a non-converged run is reported, not raised.
+    Agent i's first-order conditions read (A_i + D) x_i - D sum_j x_j = r_i in
+    the interior nodes: A_i is its negated Hessian, D = (lam/dt) second
+    difference + (gamma/2) central difference, r_i holds drift and x0 terms.
+    Ordered node by node, all n agents' conditions form one band matrix of
+    half-bandwidth 2n - 1 (LU with partial pivoting). One exact best response
+    per agent then checks the fixed point: converged when no node moves by
+    more than 1e-10 max(1, max |x0|). A failed check is reported, not raised.
     """
-    if not 0.0 < damping <= 1.0:
-        raise InvalidParam("damping", "must lie in (0, 1]")
-    paths = game.initial_paths() if initial_paths is None else np.array(initial_paths, dtype=float)
-    if paths.shape != (game.problem.n, game.n_steps + 1):
-        raise InvalidParam("initial_paths", "shape must be (n_agents, n_steps + 1)")
-    scale = max(1.0, float(np.max(np.abs(game.problem.x0))))
-    threshold = tol * scale
-    last_update = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        last_update = 0.0
-        for i in range(game.problem.n):
-            target = game.best_response(i, paths)
-            step = damping * (target - paths[i])
-            paths[i] += step
-            last_update = max(last_update, float(np.max(np.abs(step))))
-        if last_update <= threshold:
-            return paths, FixedPointReport(True, sweep, last_update, tol)
-    return paths, FixedPointReport(False, max_sweeps, last_update, tol)
+    p = game.problem
+    n, m, dt = p.n, game.n_steps - 1, game.dt
+    lam, gamma = p.market.lam, p.market.gamma
+    below, above = lam / dt - gamma / 2, lam / dt + gamma / 2
+    # unknown k n + i is x_i at interior node k; n x n blocks couple nodes k-1, k, k+1
+    others = np.ones((n, n)) - np.eye(n)
+    blocks = {
+        -1: np.diag(-game._off) - below * others,
+        0: np.diag(game._diag) + (2 * lam / dt) * others,
+        1: np.diag(-game._off) - above * others,
+    }
+    w = 2 * n - 1
+    ab = np.zeros((2 * w + 1, n * m))  # LAPACK band storage: ab[w + r - c, c] = a[r, c]
+    i, j = np.divmod(np.arange(n * n), n)
+    for s, block in blocks.items():
+        cols = np.arange(max(s, 0), m + min(s, 0))[:, None] * n + j
+        ab[w - s * n + i - j, cols] = block[i, j]
+    rhs = np.tile(0.5 * dt * (game.b_mid[:-1] + game.b_mid[1:]), (n, 1))
+    x0 = p.x0
+    rhs[:, 0] += game._off * x0 + below * (x0.sum() - x0)  # boundary terms at node 1
+    try:
+        interior = solve_banded((w, w), ab, rhs.T.ravel())
+    except np.linalg.LinAlgError as exc:
+        raise SingularNashSystem(f"stacked first-order conditions: {exc}") from exc
+    paths = np.zeros((n, game.n_steps + 1))
+    paths[:, 0] = x0
+    paths[:, 1:-1] = interior.reshape(m, n).T
+    responses = np.array([game.best_response(i, paths) for i in range(n)])
+    gap = float(np.max(np.abs(responses - paths)))  # NaN stays NaN: not converged
+    threshold = _FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(x0))))
+    return paths, FixedPointReport(gap <= threshold, 1, gap, _FIXED_POINT_TOL)
 
 
 def compare(game: DiscreteGame, paths: np.ndarray, strategies: Sequence) -> np.ndarray:

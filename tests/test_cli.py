@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from liqgames import bvp, closed_form
+from liqgames import bvp, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
@@ -142,6 +142,10 @@ def test_equilibrium_infinite_emission_window(tmp_path):
     assert main(["equilibrium", "--problem", str(src), "--out",
                  str(tmp_path / "inf5.csv"), "--t-max", "5"]) == 0
     assert read_csv(tmp_path / "inf5.csv")[-1, 0] == 5.0
+    for bad in ("nan", "inf", "0"):
+        assert main(["equilibrium", "--problem", str(src), "--out",
+                     str(tmp_path / "bad.csv"), "--t-max", bad]) == 1
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_t_max_rejected_for_finite_horizon(tmp_path, problem_file):
@@ -186,6 +190,37 @@ def test_config_errors_map_to_exit_1(tmp_path, problem_file):
                  "--probe-agent", "1", "--probe-time", "1.0"]) == 1
 
 
+def test_usage_errors_map_to_exit_1(tmp_path, problem_file, capsys):
+    # argparse's own exit code 2 would read as a solver failure
+    out = str(tmp_path / "x.csv")
+    assert main(["equilibrium", "--problem", str(problem_file)]) == 1
+    assert main(["equilibrium", "--problem", str(problem_file), "--out", out,
+                 "--grid", "abc"]) == 1
+    assert main(["oracle-check", "--problem", str(problem_file),
+                 "--damping", "0.5"]) == 1
+    assert main([]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+def test_non_finite_or_negative_tolerances_are_rejected(tmp_path, problem_file, value):
+    out = tmp_path / "x.csv"
+    assert main(["equilibrium", "--problem", str(problem_file), "--out", str(out),
+                 "--residual-tol", value]) == 1
+    assert main(["oracle-check", "--problem", str(problem_file), "--tol", value]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "2"])
+def test_too_coarse_emission_grid_writes_nothing(tmp_path, problem_file, grid):
+    out = tmp_path / "coarse.csv"
+    assert main(["equilibrium", "--problem", str(problem_file), "--out", str(out),
+                 "--grid", grid]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "coarse.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # scan command
 # ---------------------------------------------------------------------------
@@ -227,10 +262,33 @@ def test_oracle_check_exit_codes(tmp_path, problem_file):
     assert side["iteration"]["converged"] is True
     assert side["max_gap"] < 1e-2
 
+    assert side["iteration"]["sweeps"] == 1
+    assert side["iteration"]["max_update"] <= side["iteration"]["tol"]
+
     assert main(["oracle-check", "--problem", str(problem_file),
-                 "--max-sweeps", "2"]) == 3
+                 "--max-sweeps", "2"]) == 1  # the iteration knobs are gone
     assert main(["oracle-check", "--problem", str(problem_file),
                  "--tol", "1e-12"]) == 4
+
+
+def test_oracle_failures_map_to_exit_2(tmp_path, problem_file, monkeypatch):
+    exact = oracle.DiscreteGame.best_response
+
+    def off_by_a_little(self, i, paths):
+        return exact(self, i, paths) + 1e-6
+
+    report = tmp_path / "report.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.DiscreteGame, "best_response", off_by_a_little)
+        assert main(["oracle-check", "--problem", str(problem_file),
+                     "--out", str(report)]) == 2
+    assert json.loads(report.read_text())["iteration"]["converged"] is False
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(oracle, "solve_banded", singular)
+    assert main(["oracle-check", "--problem", str(problem_file)]) == 2
 
 
 def test_classify_prints_role(capsys):
