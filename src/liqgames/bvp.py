@@ -3,9 +3,22 @@
 The coupled optimality conditions of the n-agent game form a linear system
 dZ/dt = M Z + f(t) for Z = (inventories, trading rates), with inventories
 pinned at both ends: X(0) = x0 and, from the state constraint, X(T) = 0.
-On a uniform grid one matrix exponential E = e^{M dt} (computed once)
-propagates the state across every step, and the drift enters through
-per-step Simpson quadrature of the variation-of-constants integral.
+The drift enters as f(t) = b(t) u, with u zero in the inventory block and
+-1/(lam (n+1)) in the rate block.
+
+Every accepted drift is piecewise linear in t (zero, constant, or linear
+interpolation of samples), so the variation-of-constants integral of each
+grid interval is exact: on a piece of length h where b is linear,
+
+    int_0^h e^{M (h - s)} f(t_a + s) ds = phi1 u b_a + phi2 u (b_b - b_a) / h,
+
+with phi1 = int_0^h e^{M r} dr and phi2 = int_0^h e^{M r} (h - r) dr. One
+matrix exponential of the block-triangular [[M h, u h, 0], [0, 0, h],
+[0, 0, 0]] returns e^{M h}, phi1 u and phi2 u together (Van Loan,
+Computing integrals involving the matrix exponential, IEEE TAC 1978). An
+interval with drift sample points strictly inside it is split there, and its
+pieces are chained by their own e^{M h_p}, one small exponential per piece.
+So the discrete solution at the nodes does not depend on the grid.
 
 Two routes solve the resulting discrete boundary system, chosen by
 growth T, the fastest growth rate of M times the horizon:
@@ -19,15 +32,8 @@ growth T, the fastest growth rate of M times the horizon:
   matrix is written straight into CSC arrays from index arithmetic and
   factored once with SuperLU.
 
-Both routes check the drift quadrature the same way, by Richardson on the
-delivered solution. Because E = Eh Eh exactly, with Eh = e^{M dt/2}, the
-difference between the N-step and the 2N-step solutions at their shared
-nodes solves the same discrete boundary system with x0 = 0 and, as forcing,
-each interval's one-step Simpson integral minus its two-half-step
-composite. Each route re-runs its own solve on that defect; the largest
-inventory difference relative to max(1, max|X|) must stay below 1e-8.
-
-No eigendecomposition is used on the solve path; M is nonsymmetric and its
+A matrix exponential that overflows raises SingularShootingMatrix. No
+eigendecomposition is used on the solve path; M is nonsymmetric and its
 eigenvectors can be poorly conditioned for nearby risk aversions. Infinite
 horizons are solved in closed form (see closed_form).
 """
@@ -41,12 +47,7 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    GridMismatch,
-    InvalidParam,
-    QuadratureUnderResolved,
-    SingularShootingMatrix,
-)
+from .errors import GridMismatch, InvalidParam, SingularShootingMatrix
 from .model import DriftSpec, GridStrategy, Problem, system_matrix
 
 __all__ = [
@@ -64,7 +65,10 @@ __all__ = [
 # global block-banded system over every grid node, which conditions like
 # the boundary problem itself instead of like the unstable mode.
 _BALANCE_THRESHOLD = 16.0
-_QUAD_RTOL = 1e-8
+# A drift sample point this close to a node, in units of the step, counts as
+# on the node: sample grids built as T k / K sit there up to rounding, and a
+# piece of rounding length would cost two exponentials for no accuracy.
+_KNOT_SNAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,15 +79,6 @@ class FirstOrderSystem:
     n_agents: int
     lam: float
     drift: DriftSpec
-
-    def forcing(self, t):
-        """f(t): zeros in the inventory block, -b(t)/(lam (n+1)) in the rate block."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n_agents
-        out = np.zeros((t.size, 2 * n))
-        if not self.drift.is_zero:
-            out[:, n:] = (-np.asarray(self.drift(t)) / (self.lam * (n + 1)))[:, None]
-        return out
 
 
 def assemble(problem: Problem) -> FirstOrderSystem:
@@ -130,37 +125,54 @@ class BvpSolution:
 
     strategies: Tuple[GridStrategy, ...]
     derivatives: np.ndarray
-    quadrature_error: Optional[float]
     terminal_defect: float
 
 
-def _simpson_steps(E: np.ndarray, Eh: np.ndarray, dt: float, f_node, f_mid) -> np.ndarray:
-    """Per-step variation-of-constants integrals, Simpson in the kernel."""
-    return (dt / 6.0) * (f_node[:-1] @ E.T + 4.0 * (f_mid @ Eh.T) + f_node[1:])
+def _expm(A: np.ndarray) -> np.ndarray:
+    """e^A, or SingularShootingMatrix when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm(A)
+    if not np.all(np.isfinite(out)):
+        raise SingularShootingMatrix("matrix exponential overflows; shorten the grid step")
+    return out
 
 
-def _drift_steps(M: np.ndarray, E: np.ndarray, Eh: np.ndarray, T: float, n_steps: int, f_call):
-    """Per-step drift integrals of the solve and their Richardson defects.
+def _propagators(M: np.ndarray, u: np.ndarray, h: float):
+    """e^{M h}, phi1 u and phi2 u over a step h, from one block exponential."""
+    m = M.shape[0]
+    C = np.zeros((m + 2, m + 2))
+    C[:m, :m] = M * h
+    C[:m, m] = u * h
+    C[m, m + 1] = h
+    F = _expm(C)
+    return F[:m, :m], F[:m, m], F[:m, m + 1]
 
-    Because E = Eh Eh, a grid of 2 n_steps intervals follows the same
-    recursion at the shared nodes, forced by the composite Eh r_1 + r_2 of
-    its two half-step integrals. The defect of interval k is the one-step
-    integral minus that composite.
+
+def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2) -> np.ndarray:
+    """Exact variation-of-constants integral of b(t) u over every interval.
+
+    p1, p2 are phi1 u and phi2 u at the grid step. Intervals holding drift
+    sample points strictly inside are recomputed piece by piece.
     """
     dt = T / n_steps
-    t_nodes = np.linspace(0.0, T, n_steps + 1)
-    t_mids = t_nodes[:-1] + dt / 2.0
-    f_node = f_call(t_nodes)
-    f_mid = f_call(t_mids)
-    steps = _simpson_steps(E, Eh, dt, f_node, f_mid)
-    f_half = np.empty((2 * n_steps + 1, M.shape[0]))
-    f_half[0::2] = f_node
-    f_half[1::2] = f_mid
-    t_quarter = np.empty(2 * n_steps)
-    t_quarter[0::2] = t_nodes[:-1] + dt / 4.0
-    t_quarter[1::2] = t_mids + dt / 4.0
-    halves = _simpson_steps(Eh, expm(M * (dt / 4.0)), dt / 2.0, f_half, f_call(t_quarter))
-    return steps, steps - (halves[0::2] @ Eh.T + halves[1::2])
+    t = np.linspace(0.0, T, n_steps + 1)
+    b = drift(t)
+    steps = np.outer(b[:-1], p1) + np.outer(np.diff(b) / dt, p2)
+    if drift.kind != "sampled":
+        return steps
+    pos = drift.grid / dt
+    inside = (drift.grid > 0.0) & (drift.grid < T) & (np.abs(pos - np.round(pos)) > _KNOT_SNAP)
+    knots = drift.grid[inside]
+    owner = np.floor(pos[inside]).astype(int)
+    for k in np.unique(owner):
+        cuts = np.concatenate([[t[k]], knots[owner == k], [t[k + 1]]])
+        bc = drift(cuts)
+        step = np.zeros(M.shape[0])
+        for h, b_a, db in zip(np.diff(cuts), bc[:-1], np.diff(bc)):
+            E_p, p1_p, p2_p = _propagators(M, u, h)
+            step = E_p @ step + p1_p * b_a + p2_p * (db / h)
+        steps[k] = step
+    return steps
 
 
 def _global_system(E: np.ndarray, n_steps: int) -> sparse.csc_matrix:
@@ -197,15 +209,14 @@ def _global_system(E: np.ndarray, n_steps: int) -> sparse.csc_matrix:
     return sparse.csc_matrix((vals[keep], rows[keep], indptr), shape=(size, size))
 
 
-def _global_route(E: np.ndarray, n_steps: int):
-    """Returns solve(x_left, steps) over every node at once, for stiff horizons.
+def _global_route(E: np.ndarray, n_steps: int, x_left, steps: Optional[np.ndarray]) -> np.ndarray:
+    """Every node at once, for stiff horizons.
 
-    Factors the matrix of _global_system once with splu and its default
-    COLAMD column ordering; each solve reuses the factor with the right-hand
-    side (x_left, step_0, ..., step_{N-1}, 0). Entries stay O(e^{growth dt})
-    so the system is representable for horizons where single shooting
-    overflows, and the factorization splits stable from unstable modes
-    implicitly.
+    Factors the matrix of _global_system with splu and its default COLAMD
+    column ordering and solves it against (x_left, step_0, ...,
+    step_{N-1}, 0). Entries stay O(e^{growth dt}) so the system is
+    representable for horizons where single shooting overflows, and the
+    factorization splits stable from unstable modes implicitly.
     """
     m = E.shape[0]
     n = m // 2
@@ -213,22 +224,19 @@ def _global_route(E: np.ndarray, n_steps: int):
         lu = splu(_global_system(E, n_steps))
     except RuntimeError as exc:  # splu reports exact singularity this way
         raise SingularShootingMatrix(f"global boundary system is singular ({exc})") from exc
-
-    def solve(x_left, steps):
-        rhs = np.zeros((n_steps + 1) * m)
-        rhs[:n] = x_left
-        if steps is not None:
-            rhs[n:-n] = steps.ravel()
-        Z = lu.solve(rhs)
-        if not np.all(np.isfinite(Z)):
-            raise SingularShootingMatrix("global boundary solve produced non-finite values")
-        return Z.reshape(n_steps + 1, m)
-
-    return solve
+    rhs = np.zeros((n_steps + 1) * m)
+    rhs[:n] = x_left
+    if steps is not None:
+        rhs[n:-n] = steps.ravel()
+    Z = lu.solve(rhs)
+    if not np.all(np.isfinite(Z)):
+        raise SingularShootingMatrix("global boundary solve produced non-finite values")
+    return Z.reshape(n_steps + 1, m)
 
 
-def _shooting_route(M: np.ndarray, E: np.ndarray, T: float, n_steps: int):
-    """Returns solve(x_left, steps), shooting for the initial rates.
+def _shooting_route(M: np.ndarray, E: np.ndarray, T: float, n_steps: int, x_left,
+                    steps: Optional[np.ndarray]) -> np.ndarray:
+    """Shooting for the initial rates, then a march across the grid.
 
     With Phi = e^{M T} and P the forced response accumulated to T, the
     initial rates solve S y = -Phi_xx x_left - P_x for the shooting matrix
@@ -236,30 +244,26 @@ def _shooting_route(M: np.ndarray, E: np.ndarray, T: float, n_steps: int):
     """
     m = M.shape[0]
     n = m // 2
-    Phi = expm(M * T)
+    Phi = _expm(M * T)
     S = Phi[:n, n:]
-
-    def solve(x_left, steps):
-        P_end = np.zeros(m)
-        if steps is not None:
-            for k in range(n_steps):
-                P_end = E @ P_end + steps[k]
-        rhs = -Phi[:n, :n] @ x_left - P_end[:n]
-        if not np.all(np.isfinite(S)) or not np.all(np.isfinite(rhs)):
-            raise SingularShootingMatrix("shooting matrix is not finite")
-        try:
-            y_left = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularShootingMatrix(f"boundary solve failed ({exc})") from exc
-        if not np.all(np.isfinite(y_left)):
-            raise SingularShootingMatrix("boundary solve produced non-finite rates")
-        Z = np.empty((n_steps + 1, m))
-        Z[0] = np.concatenate([x_left, y_left])
+    P_end = np.zeros(m)
+    if steps is not None:
         for k in range(n_steps):
-            Z[k + 1] = E @ Z[k] + (steps[k] if steps is not None else 0.0)
-        return Z
-
-    return solve
+            P_end = E @ P_end + steps[k]
+    rhs = -Phi[:n, :n] @ x_left - P_end[:n]
+    if not np.all(np.isfinite(rhs)):
+        raise SingularShootingMatrix("shooting right-hand side is not finite")
+    try:
+        y_left = np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularShootingMatrix(f"boundary solve failed ({exc})") from exc
+    if not np.all(np.isfinite(y_left)):
+        raise SingularShootingMatrix("boundary solve produced non-finite rates")
+    Z = np.empty((n_steps + 1, m))
+    Z[0] = np.concatenate([x_left, y_left])
+    for k in range(n_steps):
+        Z[k + 1] = E @ Z[k] + (steps[k] if steps is not None else 0.0)
+    return Z
 
 
 def solve_finite(
@@ -270,13 +274,14 @@ def solve_finite(
 ) -> BvpSolution:
     """Numerical equilibrium over [0, T] on a uniform grid of n_steps intervals.
 
-    The route follows growth T and a drift is checked by Richardson on the
-    delivered solution (see the module docstring); QuadratureUnderResolved
-    is raised when the estimate exceeds 1e-8. After the solve, terminal
-    inventories are snapped to exactly zero (the defect is recorded first)
-    and the terminal rate entry is recomputed from the snapped positions
-    with the one-sided difference rule. The optimality residual of the
-    result is measured separately, by residual_report.
+    The drift's forcing is integrated exactly over every interval, so the
+    node values are those of the continuous problem up to rounding and the
+    conditioning of the route, which follows growth T (see the module
+    docstring). After the solve, terminal inventories are snapped to
+    exactly zero (the defect is recorded first) and the terminal rate entry
+    is recomputed from the snapped positions with the one-sided difference
+    rule. The optimality residual of the result is measured separately, by
+    residual_report.
     """
     x0 = np.asarray(x0, dtype=float)
     n = system.n_agents
@@ -288,40 +293,25 @@ def solve_finite(
         raise InvalidParam("n_steps", "need at least 8 intervals")
     M = system.matrix
     dt = T / n_steps
-    Eh = expm(M * (dt / 2.0))
-    E = Eh @ Eh
+    u = np.zeros(2 * n)
+    u[n:] = -1.0 / (system.lam * (n + 1))
+    E, p1, p2 = _propagators(M, u, dt)
+    steps = None
+    if not system.drift.is_zero:
+        steps = _forcing_steps(M, u, system.drift, T, n_steps, p1, p2)
     growth = float(np.max(np.linalg.eigvals(M).real))
     if growth * T > _BALANCE_THRESHOLD:
-        solve = _global_route(E, n_steps)
+        Z = _global_route(E, n_steps, x0, steps)
     else:
-        solve = _shooting_route(M, E, T, n_steps)
-    steps = step_defects = None
-    if not system.drift.is_zero:
-        steps, step_defects = _drift_steps(M, E, Eh, T, n_steps, system.forcing)
-
-    Z = solve(x0, steps)
+        Z = _shooting_route(M, E, T, n_steps, x0, steps)
     X = Z[:, :n].copy()
     Y = Z[:, n:].copy()
-    quad_err = None
-    if step_defects is not None:
-        dX = solve(np.zeros(n), step_defects)[:, :n]
-        quad_err = float(np.max(np.abs(dX))) / max(1.0, float(np.max(np.abs(X))))
-        if quad_err > _QUAD_RTOL:
-            raise QuadratureUnderResolved(
-                f"drift quadrature error {quad_err:.2e} exceeds {_QUAD_RTOL:.0e};"
-                " increase n_steps"
-            )
     defect = float(np.max(np.abs(X[-1])))
     X[-1, :] = 0.0
     Y[-1, :] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * dt)
     grid = np.linspace(0.0, T, n_steps + 1)
     strategies = tuple(GridStrategy(grid=grid, positions=X[:, i]) for i in range(n))
-    return BvpSolution(
-        strategies=strategies,
-        derivatives=Y,
-        quadrature_error=quad_err,
-        terminal_defect=defect,
-    )
+    return BvpSolution(strategies=strategies, derivatives=Y, terminal_defect=defect)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,10 @@ class SingularShootingMatrix(LiquidationGameError):
     """The finite-horizon boundary solve is singular or not finite.
 
     Raised by both routes of the grid solver: the shooting route when its
-    n x n shooting matrix cannot be solved, and the global route when the
-    sparse system over every node is singular.
+    n x n shooting matrix cannot be solved, the global route when the
+    sparse system over every node is singular, and either when a matrix
+    exponential overflows.
     """
-
-
-class QuadratureUnderResolved(LiquidationGameError):
-    """The drift quadrature error estimate exceeds its tolerance."""
 
 
 class HorizonMismatch(LiquidationGameError):

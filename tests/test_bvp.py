@@ -1,6 +1,6 @@
 """Grid solver for the coupled equilibrium boundary value problem.
 
-The convergence test uses a manufactured solution derived here from scratch:
+The exactness tests use a manufactured solution derived here from scratch:
 with one common risk aversion and constant drift b, the aggregate S = sum X_i
 solves  alpha sigma^2 S - (n-1) gamma S' - (n+1) lam S'' = n b,  and each
 agent adds theta-mode corrections around S/n. Both linear systems are solved
@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import InvalidParam, QuadratureUnderResolved
+from liqgames.errors import InvalidParam
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -117,21 +117,18 @@ def test_constant_drift_manufactured_solution():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_constant_drift_convergence_order():
+@pytest.mark.parametrize("n_steps", [8, 50, 200])
+def test_constant_drift_exact_at_any_grid(n_steps):
+    # the forcing integral of every interval is exact, so even 8 steps
+    # reproduce the manufactured solution to rounding
     b = 0.6
     problem = make_problem(lam=0.9, gamma=0.5, sigma=1.2, alphas=(0.7, 0.7),
                            x0=(1.5, -0.4), T=1.8, drift=DriftSpec.constant(b))
-    errs = []
-    for n_steps in (50, 100, 200):
-        sol = solve(problem, n_steps)
-        grid = sol.strategies[0].grid
-        want = manufactured_solution(problem.market, problem.alphas, problem.x0,
-                                     b, 1.8, grid)
-        got = np.array([s.positions for s in sol.strategies])
-        errs.append(np.max(np.abs(got - want)))
-    # at least second order; the per-step Simpson kernel is actually fourth
-    assert errs[0] / errs[1] > 3.5
-    assert errs[1] / errs[2] > 3.5
+    sol = solve(problem, n_steps)
+    grid = sol.strategies[0].grid
+    want = manufactured_solution(problem.market, problem.alphas, problem.x0, b, 1.8, grid)
+    got = np.array([s.positions for s in sol.strategies])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +173,15 @@ def test_stiff_horizon_global_solve():
 
 
 def test_stiff_horizon_with_drift():
-    # same stiff spectrum plus forcing: the drift check re-runs the global
-    # solve on the quadrature defect, the node values must still match the
-    # exact solution
+    # same stiff spectrum plus forcing on the global route: the exact
+    # per-interval forcing must keep the node values at machine precision
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0, drift=DriftSpec.constant(0.4))
     sol = solve(problem, 400)
     grid = sol.strategies[0].grid
     want = manufactured_solution(problem.market, (2.0, 2.0), (1.0, 2.0), 0.4, 4.0, grid)
     for i, s in enumerate(sol.strategies):
-        assert np.max(np.abs(s.positions - want[i])) < 1e-8
+        assert np.max(np.abs(s.positions - want[i])) < 1e-12
 
 
 def dense_global_system(E, steps, x_left, n_steps):
@@ -219,7 +215,7 @@ def test_global_system_matches_block_reference(n, n_steps):
     assert np.array_equal(A.toarray(), A_ref)
     assert A.nnz == np.count_nonzero(A_ref)
 
-    Z = bvp._global_route(E, n_steps)(problem.x0, steps)
+    Z = bvp._global_route(E, n_steps, problem.x0, steps)
     want = np.linalg.solve(A_ref, rhs_ref).reshape(n_steps + 1, 2 * n)
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -253,45 +249,52 @@ def test_residual_report_counts_probes():
 
 
 # ---------------------------------------------------------------------------
-# quadrature safety
+# sampled drift between the nodes
 # ---------------------------------------------------------------------------
 
 
-def test_underresolved_sampled_drift_raises():
-    # kinks every 0.1 sit between the nodes of a coarse grid but land on
-    # the nodes of the x20 finer one, so only the coarse solve must raise
+def node_gap(problem, n_steps, factor):
+    """max|X_N - X_{factor N}| at the shared nodes over max(1, max|X_N|)."""
+    coarse = np.array([s.positions for s in solve(problem, n_steps).strategies])
+    fine = np.array([s.positions for s in solve(problem, factor * n_steps).strategies])
+    return np.max(np.abs(coarse - fine[:, ::factor])) / max(1.0, np.max(np.abs(coarse)))
+
+
+@pytest.mark.parametrize("n_steps", [8, 13])
+def test_sampled_drift_is_grid_independent(n_steps):
+    # kinks every 0.1 fall between the nodes of the coarse grid and on the
+    # nodes of the x50 finer one; the coarse intervals split at them
     rng = np.random.default_rng(7)
     ts = np.linspace(0.0, 2.0, 21)
     rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(alphas=(0.3, 1.1), drift=rough)
-    with pytest.raises(QuadratureUnderResolved):
-        solve(problem, 8)
-    sol = solve(problem, 400)
-    assert sol.quadrature_error < 1e-8
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    assert growth * problem.T <= 16.0  # shooting route
+    assert node_gap(problem, n_steps, 50) <= 1e-12
 
 
-def richardson_difference(problem, n_steps):
-    """max|X_N - X_2N| at the shared nodes over max(1, max|X_N|), by brute force."""
-    coarse = np.array([s.positions for s in solve(problem, n_steps).strategies])
-    fine = np.array([s.positions for s in solve(problem, 2 * n_steps).strategies])
-    return np.max(np.abs(coarse - fine[:, ::2])) / max(1.0, np.max(np.abs(coarse)))
+def test_knots_on_nodes_add_no_exponentials(monkeypatch):
+    # T k / 40 misses the nodes j T / 400 by rounding for some k; such knots
+    # are on the nodes, so no interval splits
+    T = 1.3
+    ts = np.array([T * k / 40 for k in range(40)] + [T])
+    problem = make_problem(alphas=(0.3, 1.1), T=T, drift=DriftSpec.sampled(ts, np.sin(ts)))
+    shapes = []
+    real = bvp.expm
+    monkeypatch.setattr(bvp, "expm", lambda A: shapes.append(A.shape) or real(A))
+    solve(problem, 400)
+    assert shapes == [(6, 6), (4, 4)]  # the step's block exponential, e^{M T}
 
 
-def test_quadrature_error_measures_the_delivered_solution():
-    # the estimate re-solves only the quadrature defect, yet must equal the
-    # gap between the N-step and 2N-step solutions on both routes
-    rng = np.random.default_rng(7)
-    ts = np.linspace(0.0, 2.0, 21)
-    rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
-    mild = make_problem(alphas=(0.3, 1.1), drift=rough)
-    stiff = make_problem(lam=0.05, alphas=(0.5, 2.0), x0=(1.0, 2.0), T=4.0,
-                         drift=DriftSpec.constant(0.4))
-    growth = np.max(np.linalg.eigvals(bvp.assemble(stiff).matrix).real)
-    assert growth * stiff.T > 16.0  # global route
-    for problem, n_steps, low in ((mild, 40, 1e-9), (stiff, 400, 1e-10)):
-        estimate = solve(problem, n_steps).quadrature_error
-        assert low < estimate < 1e-8
-        assert estimate == pytest.approx(richardson_difference(problem, n_steps), rel=1e-2)
+def test_stiff_sampled_drift_is_grid_independent():
+    rng = np.random.default_rng(11)
+    ts = np.sort(np.concatenate([[0.0, 8.0], rng.uniform(0.0, 8.0, 35)]))
+    drift = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
+    problem = make_problem(lam=0.02, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=8.0,
+                           drift=drift)
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    assert growth * problem.T > 16.0  # global route
+    assert node_gap(problem, 400, 4) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from liqgames import bvp, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
-    DriftSpec,
     Horizon,
     MarketParams,
     dump_problem,
@@ -164,18 +163,18 @@ def test_output_collision_guards(tmp_path, problem_file):
 
 
 def test_solver_failure_maps_to_exit_2(tmp_path):
-    ts = np.linspace(0.0, 2.0, 21)
-    rng = np.random.default_rng(7)
-    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0,
-                          drift=DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, 21)))
-    problem = validate_problem(
-        market, (AgentSpec(1.12, 0.8), AgentSpec(2.06, 0.8)), Horizon.finite(2.0)
-    )
-    src = tmp_path / "rough.json"
+    # growth * dt is about 1000 on this grid, so e^{M dt} overflows: a typed
+    # solver error, not a RuntimeWarning, and nothing is written
+    market = MarketParams(lam=0.001, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = (AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.0), AgentSpec(-1.0, 1.8))
+    problem = validate_problem(market, agents, Horizon.finite(400.0))
+    src = tmp_path / "overflow.json"
     dump_problem(problem, str(src))
-    code = main(["equilibrium", "--problem", str(src), "--out",
-                 str(tmp_path / "r.csv"), "--grid", "8"])
-    assert code == 2
+    out = tmp_path / "r.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out),
+                 "--grid", "400"]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_config_errors_map_to_exit_1(tmp_path, problem_file):
