@@ -390,7 +390,7 @@ def mean_variance(
     for k, s in enumerate(profile):
         if isinstance(s, GridStrategy):
             pos[k] = s.positions
-            rate[k] = s.node_rates()
+            rate[k] = s.rates
         else:
             pos[k] = s.position(t)
             rate[k] = s.rate(t)
@@ -738,7 +738,7 @@ def deviation_report(
                 p = s.position(t)
                 r = s.rate(t)
             else:
-                p, r = s.positions, s.node_rates()
+                p, r = s.positions, s.rates
         else:
             p, r = s.position(t), s.rate(t)
         if k == agent_index:

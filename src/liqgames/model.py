@@ -454,23 +454,26 @@ class ExpSumStrategy:
 
 @dataclass(frozen=True, eq=False)
 class GridStrategy:
-    """Inventory path sampled on a uniform grid over [0, T].
+    """Inventory path and trading rate sampled on a uniform grid over [0, T].
 
-    Positions are linearly interpolated. The trading rate at the nodes is
-    reconstructed by centered differences in the interior and second-order
-    one-sided differences at the ends, then interpolated linearly in between.
-    The final position must be exactly zero. Evaluating outside [0, T] raises
-    OutOfDomain instead of clamping.
+    positions and rates are the node values of X and X' (bvp.solve_finite
+    stores its solved node states); each is linearly interpolated in
+    between. The final position must be exactly zero. Evaluating outside
+    [0, T] raises OutOfDomain instead of clamping.
     """
 
     grid: np.ndarray
     positions: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         p = np.asarray(self.positions, dtype=float)
+        r = np.asarray(self.rates, dtype=float)
         if g.ndim != 1 or g.shape != p.shape:
             raise InvalidParam("grid", "grid and positions must be 1d and equal length")
+        if r.shape != p.shape:
+            raise InvalidParam("rates", "one rate per grid node required")
         if g.size < 9:
             raise InvalidParam("grid", "need at least 8 intervals")
         if g[0] != 0.0:
@@ -484,8 +487,11 @@ class GridStrategy:
             raise InvalidParam("positions", "final position must be exactly zero")
         if not np.all(np.isfinite(p)):
             raise InvalidParam("positions", "positions must be finite")
+        if not np.all(np.isfinite(r)):
+            raise InvalidParam("rates", "rates must be finite")
         object.__setattr__(self, "grid", _freeze(g))
         object.__setattr__(self, "positions", _freeze(p))
+        object.__setattr__(self, "rates", _freeze(r))
 
     @property
     def horizon(self) -> Horizon:
@@ -495,18 +501,6 @@ class GridStrategy:
     def n_steps(self) -> int:
         return self.grid.size - 1
 
-    @property
-    def dt(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def node_rates(self) -> np.ndarray:
-        p, h = self.positions, self.dt
-        out = np.empty_like(p)
-        out[1:-1] = (p[2:] - p[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * h)
-        out[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * h)
-        return out
-
     def position(self, t):
         t = _in_domain(t, float(self.grid[-1]))
         out = np.interp(t, self.grid, self.positions)
@@ -514,7 +508,7 @@ class GridStrategy:
 
     def rate(self, t):
         t = _in_domain(t, float(self.grid[-1]))
-        out = np.interp(t, self.grid, self.node_rates())
+        out = np.interp(t, self.grid, self.rates)
         return out if out.ndim else float(out)
 
     def initial_position(self) -> float:

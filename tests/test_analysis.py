@@ -177,9 +177,9 @@ def test_profile_shape_and_horizon_checks():
     with pytest.raises(HorizonMismatch):
         analysis.mean_variance(wrong_T, [strats[1]], problem, 0)
     grid_a = GridStrategy(grid=np.linspace(0.0, 2.0, 101),
-                          positions=np.linspace(1.12, 0.0, 101))
+                          positions=np.linspace(1.12, 0.0, 101), rates=np.full(101, -0.56))
     grid_b = GridStrategy(grid=np.linspace(0.0, 2.0, 201),
-                          positions=np.linspace(2.06, 0.0, 201))
+                          positions=np.linspace(2.06, 0.0, 201), rates=np.full(201, -1.03))
     with pytest.raises(GridMismatch):
         analysis.mean_variance(grid_a, [grid_b], problem, 0)
 
@@ -406,10 +406,13 @@ def test_deviation_quadratic_decomposition_matches_direct():
     eta = np.sin(np.pi * t / 2.0)
     eta[-1] = 0.0
     eps = 1e-2
-    v0 = analysis.mean_variance(GridStrategy(grid=t, positions=base),
+    base_rate = np.asarray(strats[0].rate(t))
+    eta_rate = (np.pi / 2.0) * np.cos(np.pi * t / 2.0)
+    v0 = analysis.mean_variance(GridStrategy(grid=t, positions=base, rates=base_rate),
                                 [strats[1]], problem, 0)
-    v1 = analysis.mean_variance(GridStrategy(grid=t, positions=base + eps * eta),
-                                [strats[1]], problem, 0)
+    v1 = analysis.mean_variance(
+        GridStrategy(grid=t, positions=base + eps * eta, rates=base_rate + eps * eta_rate),
+        [strats[1]], problem, 0)
     direct = v1.mean_variance_value - v0.mean_variance_value
     quad = rep.first_order[0] * eps + rep.curvature[0] * eps**2
     assert abs(direct - quad) < 1e-3 * abs(direct)

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import InvalidParam
+from liqgames.errors import GridMismatch, InvalidParam
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -168,8 +168,7 @@ def test_stiff_horizon_global_solve():
     grid = sol.strategies[0].grid
     for s, ref in zip(sol.strategies, reference):
         assert np.max(np.abs(s.positions - ref.position(grid))) < 1e-12
-    # residual probes difference the grid, so (growth * dt)^4 limits them here
-    assert bvp.residual_report(sol.strategies, problem).relative < 1e-6
+    assert bvp.residual_report(sol.strategies, problem).relative < 1e-12
 
 
 def test_stiff_horizon_with_drift():
@@ -221,21 +220,64 @@ def test_global_system_matches_block_reference(n, n_steps):
 
 
 # ---------------------------------------------------------------------------
+# node rates
+# ---------------------------------------------------------------------------
+
+
+def test_node_rates_are_exact():
+    # the strategies carry the rate block of the solved node states, so the
+    # rates are grid-independent and match the closed form, end nodes included
+    stiff = make_problem(lam=0.02, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=8.0)
+    coarse = np.array([s.rates for s in solve(stiff, 400).strategies])
+    fine = np.array([s.rates for s in solve(stiff, 1600).strategies])
+    assert np.max(np.abs(coarse - fine[:, ::4])) <= 1e-12 * np.max(np.abs(coarse))
+
+    problem = make_problem()
+    sol = solve(problem, 400)
+    grid = sol.strategies[0].grid
+    reference = [ref.rate(grid) for ref in
+                 closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)]
+    got = np.array([s.rates for s in sol.strategies])
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# ---------------------------------------------------------------------------
 # residual report
 # ---------------------------------------------------------------------------
 
 
-def test_residual_detects_corruption():
-    problem = make_problem()
+def bump_node(strategies, field):
+    s = strategies[0]
+    values = {"positions": s.positions.copy(), "rates": s.rates.copy()}
+    values[field][200] += 1e-3
+    return [GridStrategy(grid=s.grid, **values), strategies[1]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda strategies: bump_node(strategies, "positions"),
+    lambda strategies: bump_node(strategies, "rates"),
+    lambda strategies: strategies[::-1],
+], ids=["bumped_position", "bumped_rate", "swapped_agents"])
+def test_residual_detects_corruption(corrupt):
+    # unequal alphas, so that swapped paths solve the wrong equations
+    problem = make_problem(alphas=(0.4, 1.3))
     sol = solve(problem, 400)
     clean = bvp.residual_report(sol.strategies, problem).relative
-    grid = sol.strategies[0].grid
-    bad_positions = sol.strategies[0].positions.copy()
-    bad_positions[200] += 1e-3
-    corrupted = [GridStrategy(grid=grid, positions=bad_positions), sol.strategies[1]]
-    dirty = bvp.residual_report(corrupted, problem).relative
-    assert clean < 1e-8
-    assert dirty > 1e3 * clean
+    dirty = bvp.residual_report(corrupt(list(sol.strategies)), problem).relative
+    assert clean < 1e-12
+    assert dirty > 1e-6
+
+
+def test_grid_residual_reads_every_interval():
+    problem = make_problem()
+    sol = solve(problem, 400)
+    assert bvp.residual_report(sol.strategies, problem).n_probes == 400
+    # exponential-sum members are sampled at the grid nodes
+    exact = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    mixed = bvp.residual_report([sol.strategies[0], exact[1]], problem)
+    assert mixed.n_probes == 400 and mixed.relative < 1e-12
+    with pytest.raises(GridMismatch):  # the grid must span the problem's horizon
+        bvp.residual_report(sol.strategies, make_problem(T=2.5))
 
 
 def test_residual_report_counts_probes():

@@ -245,7 +245,7 @@ def test_strategies_raise_out_of_domain():
     # the types check their own domain: no extrapolated or clamped values
     expsum = make_expsum()  # T = 3
     g = np.linspace(0.0, 3.0, 33)
-    grid = GridStrategy(grid=g, positions=g * (3.0 - g))
+    grid = GridStrategy(grid=g, positions=g * (3.0 - g), rates=3.0 - 2.0 * g)
     calls = [expsum.position, expsum.rate, expsum.accel, grid.position, grid.rate]
     for f in calls:
         assert np.all(np.isfinite(f(np.array([0.0, 1.5, 3.0]))))
@@ -279,28 +279,38 @@ def test_expsum_term_order_irrelevant(perm):
 # ---------------------------------------------------------------------------
 
 
-def test_grid_strategy_rates_exact_for_quadratics():
+def test_grid_strategy_rate_interpolates_stored_node_rates():
     T = 2.0
     g = np.linspace(0.0, T, 33)
     pos = g * (T - g)  # starts and ends at zero
-    s = GridStrategy(grid=g, positions=pos)
-    # centered and one-sided second-order differences recover T - 2t exactly
-    assert np.allclose(s.node_rates(), T - 2.0 * g, atol=1e-12)
-    assert s.position(0.5 * (g[3] + g[4])) == pytest.approx(0.5 * (pos[3] + pos[4]))
+    rates = T - 2.0 * g
+    s = GridStrategy(grid=g, positions=pos, rates=rates)
+    assert np.array_equal(s.rate(g), rates)
+    assert not s.rates.flags.writeable
+    mid = 0.5 * (g[3] + g[4])
+    assert s.rate(mid) == pytest.approx(0.5 * (rates[3] + rates[4]))
+    assert s.position(mid) == pytest.approx(0.5 * (pos[3] + pos[4]))
 
 
 def test_grid_strategy_validation():
     g = np.linspace(0.0, 1.0, 33)
+    zeros = np.zeros(33)
     with pytest.raises(InvalidParam):  # terminal inventory not zero
-        GridStrategy(grid=g, positions=np.ones(33))
+        GridStrategy(grid=g, positions=np.ones(33), rates=zeros)
     with pytest.raises(InvalidParam):  # too coarse
-        GridStrategy(grid=np.linspace(0.0, 1.0, 5), positions=np.zeros(5))
+        GridStrategy(grid=np.linspace(0.0, 1.0, 5), positions=np.zeros(5), rates=np.zeros(5))
     bad = g.copy()
     bad[5] += 0.01
     with pytest.raises(InvalidParam):  # not uniform
-        GridStrategy(grid=bad, positions=np.zeros(33))
+        GridStrategy(grid=bad, positions=zeros, rates=zeros)
     with pytest.raises(InvalidParam):  # must start at 0
-        GridStrategy(grid=g + 1.0, positions=np.zeros(33))
+        GridStrategy(grid=g + 1.0, positions=zeros, rates=zeros)
+    with pytest.raises(InvalidParam):  # one rate per node
+        GridStrategy(grid=g, positions=zeros, rates=np.zeros(32))
+    nan_rate = zeros.copy()
+    nan_rate[7] = np.nan
+    with pytest.raises(InvalidParam):  # rates must be finite
+        GridStrategy(grid=g, positions=zeros, rates=nan_rate)
 
 
 # ---------------------------------------------------------------------------
