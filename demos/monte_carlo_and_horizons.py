@@ -1,8 +1,9 @@
 """Validate analytic revenue moments by simulation and study long horizons.
 
-Part 1 prices the two-trader equilibrium by Monte Carlo and checks the
-sample mean, variance, and exponential-utility certainty equivalent against
-their closed-form values in standard-error units.
+Part 1 prices the two-trader equilibrium by Monte Carlo, with one simulated
+price noise shared by both traders, and checks the sample mean, variance,
+and exponential-utility certainty equivalent against their closed-form
+values in standard-error units.
 
 Part 2 solves the infinite-horizon game for growing crowds splitting a fixed
 opposing inventory and prints the 99% liquidation time of the large trader,
@@ -21,10 +22,9 @@ def monte_carlo_part():
     strategies = closed_form.equal_alpha_finite(market, agents, 2.0)
     cfg = analysis.MonteCarloConfig(paths=20_000, time_steps=400, seed=3)
     print("agent  quantity   analytic      simulated     z")
-    for i in range(2):
+    # both traders face the same simulated price noise
+    for i, mc in enumerate(analysis.monte_carlo_revenues(strategies, problem, cfg)):
         exact = analysis.mean_variance(strategies[i], [strategies[1 - i]], problem, i)
-        mc = analysis.monte_carlo_revenues(strategies[i], [strategies[1 - i]],
-                                           problem, cfg, i)
         for name, a, m, se in (
             ("mean", exact.expected_revenue, mc.mean, mc.mean_se),
             ("variance", exact.variance, mc.variance, mc.variance_se),

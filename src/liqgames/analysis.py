@@ -9,10 +9,11 @@ for exponential-sum strategies and by composite Simpson quadrature on grids.
 The closed form integrates every pair of exponential terms at once: one
 numpy pair matrix per evaluation, whose block sums are the five integrals.
 
-Also here: Monte Carlo revenue simulation (counter-based RNG so runs are
-reproducible), the predatory / liquidity-provision classification, effective
-liquidation times, one-parameter scans, and a deviation probe that certifies
-the no-profitable-deviation property of computed equilibria.
+Also here: Monte Carlo revenue simulation (one Brownian path set shared by
+the whole market, from a counter-based RNG so runs are reproducible), the
+predatory / liquidity-provision classification, effective liquidation times,
+one-parameter scans, and a deviation probe that certifies the
+no-profitable-deviation property of computed equilibria.
 """
 from __future__ import annotations
 
@@ -443,74 +444,124 @@ def mean_variance_sampled(
 # ---------------------------------------------------------------------------
 
 
+# Brownian increments drawn per chunk: at most 4 MB of float64, so memory does
+# not grow with the number of paths.
+_CHUNK_VALUES = 2**19
+
+
+def _chunk_rows(time_steps: int) -> int:
+    """Paths per chunk: the largest power of two that fits _CHUNK_VALUES.
+
+    BLAS matrix-vector kernels work on fixed groups of rows and split rows
+    evenly across threads. A power-of-two chunk keeps those groups where one
+    unchunked product puts them (when the path count splits evenly too), so
+    chunking changes no bit of the result.
+    """
+    return 1 << max(0, (_CHUNK_VALUES // time_steps).bit_length() - 1)
+
+
 def _slowest_rate(profile: Sequence[ExpSumStrategy]) -> float:
     return max(float(np.max(s.rates)) for s in profile)
 
 
+def _tail_variance(strategy: ExpSumStrategy, t_end: float, sigma: float) -> float:
+    """sigma^2 int_{t_end}^inf X^2, the variance a truncation at t_end drops."""
+    # X(t_end + u) as an exponential sum in u; a degree-1 term splits
+    c, r, a, d = _terms(strategy)
+    lead = c * np.exp(r * (t_end - a))
+    lin = d == 1
+    shifted = _stack([
+        (lead * np.where(lin, t_end - a, 1.0), r, np.zeros_like(a), 0 * d),
+        (lead[lin], r[lin], np.zeros_like(a[lin]), d[lin]),
+    ])
+    return float(sigma**2 * _pair_matrix(shifted, shifted, None).sum())
+
+
+def _ito_sums(positions: np.ndarray, dt: float, paths: int, seed: int) -> np.ndarray:
+    """sum_k X_i(t_k) dW_k of every row X_i, on one common Brownian path set.
+
+    positions is (n_agents, n_steps) at the left end of each step; returns
+    (n_agents, paths). The increments come from a Philox generator keyed by
+    seed, drawn in chunks into one reused buffer. Each agent's sums are one
+    matrix-vector product per chunk: bit-identical to the product with one
+    unchunked draw, which a single matrix-matrix product over all agents is
+    not.
+    """
+    n, steps = positions.shape
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    chunk = _chunk_rows(steps)
+    buf = np.empty((min(chunk, paths), steps))
+    sums = np.empty((n, paths))
+    for a in range(0, paths, chunk):
+        b = min(a + chunk, paths)
+        view = buf[: b - a]
+        rng.standard_normal(out=view)
+        view *= math.sqrt(dt)
+        for i in range(n):
+            sums[i, a:b] = view @ positions[i]
+    return sums
+
+
 def monte_carlo_revenues(
-    strategy_i: Strategy,
-    others: Sequence[Strategy],
+    profile: Sequence[Strategy],
     problem: Problem,
     config: MonteCarloConfig,
-    agent_index: int,
-) -> MonteCarloResult:
-    """Simulate revenues of agent agent_index; moments with standard errors.
+) -> list[MonteCarloResult]:
+    """Simulate every agent's revenue under one common price noise.
 
-    Only the martingale part sigma * int X_i dW is random, so each path draws
-    Brownian increments (Philox counter-based generator keyed by the seed,
-    identical output for identical config) and adds the deterministic
-    expected revenue. Infinite horizons are truncated where the slowest mode
-    has decayed by e^-40; the variance left in the tail is reported.
+    All agents trade against the same Brownian motion W, so one path set,
+    drawn from a Philox counter-based generator keyed by config.seed, serves
+    the whole market: identical config, identical output. Only the martingale
+    sigma * int X_i dW is random; each agent's paths add it to that agent's
+    analytic expected revenue. The paths are drawn in chunks of at most 4 MB,
+    so memory does not grow with config.paths, and agent 1's numbers equal
+    those of one unchunked draw bit for bit. Infinite horizons are truncated
+    where the slowest mode of the profile has decayed by e^-40; each agent's
+    variance left in the tail is reported. Returns one MonteCarloResult per
+    agent, in profile order.
     """
-    analytic = mean_variance(strategy_i, others, problem, agent_index)
+    profile = list(profile)
+    n = problem.n
+    if len(profile) != n:
+        raise InvalidParam("profile", f"expected {n} strategies, got {len(profile)}")
+    sigma = problem.market.sigma
     if problem.horizon.is_finite:
         t_end = problem.T
         trunc: Optional[float] = None
-        tail = 0.0
+        tails = [0.0] * n
     else:
-        profile = [strategy_i, *others]
         trunc = 40.0 / abs(_slowest_rate(profile))
         t_end = trunc
-        # X_i(t_end + u) as an exponential sum in u; a degree-1 term splits
-        c, r, a, d = _terms(strategy_i)
-        lead = c * np.exp(r * (t_end - a))
-        lin = d == 1
-        shifted = _stack([
-            (lead * np.where(lin, t_end - a, 1.0), r, np.zeros_like(a), 0 * d),
-            (lead[lin], r[lin], np.zeros_like(a[lin]), d[lin]),
-        ])
-        tail = problem.market.sigma**2 * _pair_matrix(shifted, shifted, None).sum()
+        tails = [_tail_variance(s, t_end, sigma) for s in profile]
     t = np.linspace(0.0, t_end, config.time_steps + 1)
-    xi = np.asarray(strategy_i.position(t), dtype=float)
-    dt = t[1] - t[0]
+    X = np.array([s.position(t) for s in profile], dtype=float)
+    stochastic = _ito_sums(X[:, :-1], t[1] - t[0], config.paths, config.seed)
+    stochastic *= sigma
 
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    increments = rng.standard_normal((config.paths, config.time_steps)) * math.sqrt(dt)
-    stochastic = problem.market.sigma * (increments @ xi[:-1])
-    revenues = analytic.expected_revenue + stochastic
-
-    alpha = problem.agents[agent_index].alpha
-    mean = float(np.mean(revenues))
-    mean_se = float(np.std(revenues, ddof=1) / math.sqrt(config.paths))
-    centered_sq = (revenues - mean) ** 2
-    variance = float(np.sum(centered_sq) / (config.paths - 1))
-    variance_se = float(np.std(centered_sq, ddof=1) / math.sqrt(config.paths))
-    if alpha > 0:
-        utils = (1.0 - np.exp(-alpha * revenues)) / alpha
-    else:
-        utils = revenues
-    cara_mean = float(np.mean(utils))
-    cara_se = float(np.std(utils, ddof=1) / math.sqrt(config.paths))
-    return MonteCarloResult(
-        mean=mean,
-        variance=variance,
-        cara_mean=cara_mean,
-        mean_se=mean_se,
-        variance_se=variance_se,
-        cara_se=cara_se,
-        truncation_time=trunc,
-        tail_variance_bound=float(tail),
-    )
+    results = []
+    root_n = math.sqrt(config.paths)
+    for i in range(n):
+        others = profile[:i] + profile[i + 1 :]
+        analytic = mean_variance(profile[i], others, problem, i)
+        revenues = analytic.expected_revenue + stochastic[i]
+        alpha = problem.agents[i].alpha
+        mean = float(np.mean(revenues))
+        centered_sq = (revenues - mean) ** 2
+        if alpha > 0:
+            utils = (1.0 - np.exp(-alpha * revenues)) / alpha
+        else:
+            utils = revenues
+        results.append(MonteCarloResult(
+            mean=mean,
+            variance=float(np.sum(centered_sq) / (config.paths - 1)),
+            cara_mean=float(np.mean(utils)),
+            mean_se=float(np.std(revenues, ddof=1) / root_n),
+            variance_se=float(np.std(centered_sq, ddof=1) / root_n),
+            cara_se=float(np.std(utils, ddof=1) / root_n),
+            truncation_time=trunc,
+            tail_variance_bound=tails[i],
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------

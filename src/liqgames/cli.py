@@ -137,18 +137,13 @@ def _cmd_equilibrium(args) -> int:
             for i in range(n)
         ]
     if args.mc_paths:
-        cfg_steps = max(args.grid, 8)
+        cfg = analysis.MonteCarloConfig(
+            paths=args.mc_paths, time_steps=max(args.grid, 8), seed=args.seed
+        )
+        # config by keyword: perfbench's tracer reads it from kwargs["config"]
         sidecar["monte_carlo"] = [
-            analysis.monte_carlo_revenues(
-                strategies[i],
-                strategies[:i] + strategies[i + 1 :],
-                problem,
-                analysis.MonteCarloConfig(
-                    paths=args.mc_paths, time_steps=cfg_steps, seed=args.seed + i
-                ),
-                i,
-            ).to_dict()
-            for i in range(n)
+            mc.to_dict()
+            for mc in analysis.monte_carlo_revenues(strategies, problem, config=cfg)
         ]
 
     # written only now, so a run that raises leaves no partial output
@@ -267,7 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 4 if the relative equilibrium residual exceeds this",
     )
     eq.add_argument("--mc-paths", type=int, default=0, help="Monte Carlo paths (0 = off)")
-    eq.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    eq.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="Monte Carlo seed of one Brownian path set shared by all agents",
+    )
     eq.set_defaults(func=_cmd_equilibrium)
 
     sc = sub.add_parser("scan", help="sweep one parameter")

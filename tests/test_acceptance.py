@@ -312,20 +312,19 @@ def test_criterion_09_monte_carlo_consistency():
     t0 = time.monotonic()
     problem = benchmark_problem()
     strategies = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    # one path set, seed 0, shared by both agents as in the model
+    cfg = analysis.MonteCarloConfig(paths=10_000, time_steps=400, seed=0)
+    results = analysis.monte_carlo_revenues(strategies, problem, cfg)
     worst_z = 0.0
-    for i in range(2):
+    for i, mc in enumerate(results):
         res = analysis.mean_variance(strategies[i], [strategies[1 - i]], problem, i)
-        cfg = analysis.MonteCarloConfig(paths=10_000, time_steps=400, seed=i)
-        mc = analysis.monte_carlo_revenues(strategies[i], [strategies[1 - i]],
-                                           problem, cfg, i)
         worst_z = max(worst_z,
                       abs(mc.mean - res.expected_revenue) / mc.mean_se,
                       abs(mc.variance - res.variance) / mc.variance_se,
                       abs(mc.cara_mean - res.cara_value) / mc.cara_se)
-        again = analysis.monte_carlo_revenues(strategies[i], [strategies[1 - i]],
-                                              problem, cfg, i)
-        assert (again.mean, again.variance, again.cara_mean) == \
-            (mc.mean, mc.variance, mc.cara_mean)
+    again = analysis.monte_carlo_revenues(strategies, problem, cfg)
+    assert [(r.mean, r.variance, r.cara_mean) for r in again] == \
+        [(r.mean, r.variance, r.cara_mean) for r in results]
     elapsed = time.monotonic() - t0
     ok = worst_z <= 3.0 and elapsed <= 30.0
     _report(9, ok, f"worst z-score = {worst_z:.2f}, reruns bit-identical, {elapsed:.1f}s")

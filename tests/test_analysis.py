@@ -8,6 +8,7 @@ routes share no code.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,35 +205,95 @@ def test_sampled_profile_validation():
 def test_monte_carlo_matches_moments_within_3se():
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
-    res = analysis.mean_variance(strats[0], [strats[1]], problem, 0)
     cfg = analysis.MonteCarloConfig(paths=4000, time_steps=400, seed=0)
-    mc = analysis.monte_carlo_revenues(strats[0], [strats[1]], problem, cfg, 0)
-    assert abs(mc.mean - res.expected_revenue) <= 3.0 * mc.mean_se
-    assert abs(mc.variance - res.variance) <= 3.0 * mc.variance_se
-    assert abs(mc.cara_mean - res.cara_value) <= 3.0 * mc.cara_se
-    assert mc.truncation_time is None
+    results = analysis.monte_carlo_revenues(strats, problem, cfg)
+    assert len(results) == 2
+    for i, mc in enumerate(results):
+        res = analysis.mean_variance(strats[i], [strats[1 - i]], problem, i)
+        assert abs(mc.mean - res.expected_revenue) <= 3.0 * mc.mean_se
+        assert abs(mc.variance - res.variance) <= 3.0 * mc.variance_se
+        assert abs(mc.cara_mean - res.cara_value) <= 3.0 * mc.cara_se
+        assert mc.truncation_time is None
 
 
 def test_monte_carlo_reruns_bit_identical():
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
     cfg = analysis.MonteCarloConfig(paths=500, time_steps=64, seed=11)
-    a = analysis.monte_carlo_revenues(strats[0], [strats[1]], problem, cfg, 0)
-    b = analysis.monte_carlo_revenues(strats[0], [strats[1]], problem, cfg, 0)
-    assert (a.mean, a.variance, a.cara_mean) == (b.mean, b.variance, b.cara_mean)
+    a = analysis.monte_carlo_revenues(strats, problem, cfg)
+    b = analysis.monte_carlo_revenues(strats, problem, cfg)
+    assert a == b
     other = analysis.MonteCarloConfig(paths=500, time_steps=64, seed=12)
-    c = analysis.monte_carlo_revenues(strats[0], [strats[1]], problem, other, 0)
-    assert c.mean != a.mean
+    c = analysis.monte_carlo_revenues(strats, problem, other)
+    assert c[0].mean != a[0].mean
+
+
+def test_monte_carlo_chunks_equal_one_draw():
+    # 2560 paths of 400 steps are 2.5 chunks; agent 1 must still equal, bit
+    # for bit, the sample built from one unchunked draw. 2560 splits into
+    # whole groups of 4 rows on up to 16 BLAS threads, so the reference's own
+    # threaded product groups its rows as the chunked one does.
+    problem = two_agent_problem()
+    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    cfg = analysis.MonteCarloConfig(paths=2560, time_steps=400, seed=5)
+    assert cfg.paths % analysis._chunk_rows(cfg.time_steps) != 0
+    mc = analysis.monte_carlo_revenues(strats, problem, cfg)[0]
+
+    t = np.linspace(0.0, 2.0, cfg.time_steps + 1)
+    X = np.array([s.position(t) for s in strats])
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    draw = rng.standard_normal((cfg.paths, cfg.time_steps)) * math.sqrt(t[1] - t[0])
+    sums = analysis._ito_sums(X[:, :-1], t[1] - t[0], cfg.paths, cfg.seed)
+    for i in range(2):
+        assert np.array_equal(sums[i], draw @ X[i, :-1])
+
+    mean = analysis.mean_variance(strats[0], [strats[1]], problem, 0).expected_revenue
+    revenues = mean + problem.market.sigma * (draw @ X[0, :-1])
+    root_n = math.sqrt(cfg.paths)
+    assert mc.mean == float(np.mean(revenues))
+    assert mc.mean_se == float(np.std(revenues, ddof=1) / root_n)
+    centered_sq = (revenues - mc.mean) ** 2
+    assert mc.variance == float(np.sum(centered_sq) / (cfg.paths - 1))
+    assert mc.variance_se == float(np.std(centered_sq, ddof=1) / root_n)
+    alpha = problem.agents[0].alpha
+    utils = (1.0 - np.exp(-alpha * revenues)) / alpha
+    assert mc.cara_mean == float(np.mean(utils))
+    assert mc.cara_se == float(np.std(utils, ddof=1) / root_n)
+
+
+def test_monte_carlo_noise_is_common_to_all_agents():
+    # identical agents see identical revenues only if they share one noise
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = (AgentSpec(1.5, 0.8), AgentSpec(1.5, 0.8))
+    problem = validate_problem(market, agents, Horizon.finite(2.0))
+    strats = closed_form.equal_alpha_finite(market, agents, 2.0)
+    cfg = analysis.MonteCarloConfig(paths=500, time_steps=64, seed=2)
+    first, second = analysis.monte_carlo_revenues(strats, problem, cfg)
+    assert first == second
+
+
+def test_monte_carlo_memory_is_bounded_by_the_chunk():
+    problem = two_agent_problem()
+    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    cfg = analysis.MonteCarloConfig(paths=50_000, time_steps=400, seed=0)
+    tracemalloc.start()
+    try:
+        analysis.monte_carlo_revenues(strats, problem, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one unchunked draw would hold 160 MB (50k x 400 float64)
+    assert peak < 32e6
 
 
 def test_monte_carlo_no_noise_reduces_to_expectation():
     problem = two_agent_problem(sigma=0.0)
     profile = [linear_strategy(1.12, 2.0), linear_strategy(2.06, 2.0)]
-    res = analysis.mean_variance(profile[0], [profile[1]], problem, 0)
     cfg = analysis.MonteCarloConfig(paths=500, time_steps=64, seed=0)
-    mc = analysis.monte_carlo_revenues(profile[0], [profile[1]], problem, cfg, 0)
-    assert abs(mc.mean - res.expected_revenue) < 1e-14 * abs(res.expected_revenue)
-    assert mc.variance < 1e-25
+    for i, mc in enumerate(analysis.monte_carlo_revenues(profile, problem, cfg)):
+        res = analysis.mean_variance(profile[i], [profile[1 - i]], problem, i)
+        assert abs(mc.mean - res.expected_revenue) < 1e-14 * abs(res.expected_revenue)
+        assert mc.variance < 1e-25
 
 
 def test_monte_carlo_infinite_horizon_truncation():
@@ -241,7 +302,7 @@ def test_monte_carlo_infinite_horizon_truncation():
     strat = closed_form.equal_alpha_infinite(market, problem.agents)[0]
     res = analysis.mean_variance(strat, [], problem, 0)
     cfg = analysis.MonteCarloConfig(paths=4000, time_steps=400, seed=1)
-    mc = analysis.monte_carlo_revenues(strat, [], problem, cfg, 0)
+    (mc,) = analysis.monte_carlo_revenues([strat], problem, cfg)
     assert mc.truncation_time is not None
     # truncated-away variance must be negligible next to the sampling error
     assert mc.tail_variance_bound < 1e-12 * res.variance
@@ -253,6 +314,10 @@ def test_monte_carlo_config_validation():
         analysis.MonteCarloConfig(paths=10)
     with pytest.raises(InvalidParam):
         analysis.MonteCarloConfig(time_steps=2)
+    problem = two_agent_problem()
+    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    with pytest.raises(InvalidParam):  # one strategy per agent
+        analysis.monte_carlo_revenues(strats[:1], problem, analysis.MonteCarloConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from liqgames import bvp, closed_form, oracle
+from liqgames import analysis, bvp, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
@@ -81,6 +81,21 @@ def test_equilibrium_reruns_are_byte_identical(tmp_path, problem_file):
     b_side = (tmp_path / "b.json").read_bytes()
     assert a_side == b_side
     assert b"monte_carlo" in a_side
+
+
+def test_equilibrium_monte_carlo_is_one_seeded_path_set(tmp_path, problem_file):
+    out = tmp_path / "mc.csv"
+    argv = ["equilibrium", "--problem", str(problem_file), "--out", str(out),
+            "--mc-paths", "500", "--grid", "64", "--seed", "9"]
+    assert main(argv) == 0
+    side = json.loads((tmp_path / "mc.json").read_text())
+    problem = load_problem(str(problem_file))
+    strategies = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    cfg = analysis.MonteCarloConfig(paths=500, time_steps=64, seed=9)
+    want = [mc.to_dict() for mc in analysis.monte_carlo_revenues(strategies, problem, cfg)]
+    assert side["monte_carlo"] == want
+    for sampled, exact in zip(side["monte_carlo"], side["agents_exact"], strict=True):
+        assert abs(sampled["mean"] - exact["expected_revenue"]) <= 5.0 * sampled["mean_se"]
 
 
 def test_equilibrium_bvp_route_and_tolerance_gate(tmp_path):
