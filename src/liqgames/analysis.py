@@ -320,6 +320,9 @@ def _result_from_integrals(
     )
 
 
+_QUAD_STEPS = 2000  # Simpson intervals for exponential sums under a sampled drift
+
+
 def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
     hz = strategy.horizon
     if hz.is_finite != horizon.is_finite:
@@ -333,7 +336,6 @@ def mean_variance(
     others: Sequence[Strategy],
     problem: Problem,
     agent_index: int,
-    quad_steps: int = 2000,
 ) -> EvaluationResult:
     """Objective of agent agent_index playing strategy_i against others.
 
@@ -385,7 +387,7 @@ def mean_variance(
             if s.grid.shape != t.shape or not np.array_equal(s.grid, t):
                 raise GridMismatch("grid strategies must share one grid")
     else:
-        t = np.linspace(0.0, T, quad_steps + 1)
+        t = np.linspace(0.0, T, _QUAD_STEPS + 1)
     pos = np.empty((problem.n, t.size))
     rate = np.empty_like(pos)
     for k, s in enumerate(profile):

@@ -21,17 +21,19 @@ pieces are chained by their own e^{M h_p}, one small exponential per piece.
 So the discrete solution at the nodes does not depend on the grid, and each
 returned GridStrategy carries both blocks of it: inventories and rates.
 
-Two routes solve the resulting discrete boundary system, chosen by
-growth T, the fastest growth rate of M times the horizon:
-
-- shooting, while growth T <= 16: one n x n solve for the unknown initial
-  rates against the shooting matrix S, the rate-to-inventory block of
-  e^{M T}, then a march across the grid;
-- global, beyond that, where shooting's e^{growth T} error amplification
-  would break the accuracy contract: one sparse solve coupling all nodes,
-  which conditions like the boundary problem itself. Its block-banded
-  matrix is written straight into CSC arrays from index arithmetic and
-  factored once with SuperLU.
+One route solves the resulting discrete boundary system, multiple shooting
+(Stoer and Bulirsch, Introduction to Numerical Analysis, sec. 7.3.5). The
+grid is cut into segments of whole intervals, short enough that the fastest
+growth rate of M times the segment length stays within a fixed budget. One
+solve couples the states at the segment ends through each segment's
+propagator e^{M L dt} and accumulated forcing; its matrix is banded, is
+written straight into LAPACK band storage from index arithmetic, and is
+solved by banded LU with partial pivoting (gbsv), whose memory is the band
+itself. A march across each segment from its solved start fills in the
+interior nodes. A horizon with growth T within the budget is one segment,
+which is plain shooting; on the stiffest grids every interval is a
+segment, which is a banded solve over every node. Rounding grows by at most
+the budget's exponential inside a segment, whatever the horizon.
 
 A matrix exponential that overflows raises SingularShootingMatrix. No
 eigendecomposition is used on the solve path; M is nonsymmetric and its
@@ -47,8 +49,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
+from scipy.linalg.lapack import dgbsv
+# Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
 from .errors import GridMismatch, InvalidParam, SingularShootingMatrix
@@ -63,12 +66,9 @@ __all__ = [
     "residual_report",
 ]
 
-# Growth-mode budget for single shooting: its forward error scales like
-# eps * e^{growth T}, which crosses the 1e-8 accuracy contract near
-# growth T ~ 18. Beyond e^16 the boundary solve therefore switches to a
-# global block-banded system over every grid node, which conditions like
-# the boundary problem itself instead of like the unstable mode.
-_BALANCE_THRESHOLD = 16.0
+# Growth budget of one shooting segment: forward rounding inside a segment
+# grows by at most e^4 ~ 55.
+_SEGMENT_GROWTH = 4.0
 # A drift sample point this close to a node, in units of the step, counts as
 # on the node: sample grids built as T k / K sit there up to rounding, and a
 # piece of rounding length would cost two exponentials for no accuracy.
@@ -180,94 +180,88 @@ def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2) -> np
     return steps
 
 
-def _global_system(E: np.ndarray, n_steps: int) -> sparse.csc_matrix:
-    """CSC matrix of the discretized two-point problem.
+def _segment_ends(growth: float, T: float, n_steps: int) -> np.ndarray:
+    """End nodes 0, L, 2 L, ..., N of the shooting segments.
 
-    Unknowns are the full state Z_k at every node k = 0..N, stacked node by
-    node. Rows 0..n-1 pin the inventory block of Z_0, interval k contributes
-    the m rows Z_{k+1} - E Z_k starting at row n + k m, and the last n rows
-    pin the inventory block of Z_N.
-
-    The CSC arrays are written directly. Column k m + c has up to m + 1
-    slots in row order: a 1 that pins Z_0 (k = 0) or closes interval k - 1,
-    then -E[:, c] in the rows of interval k, or at k = N the 1 that pins
-    Z_N. Zero slots are dropped, which also leaves out exact zeros of E, so
-    the sparsity pattern seen by splu's ordering depends only on E.
+    L = N while growth T stays within _SEGMENT_GROWTH, else the most whole
+    intervals whose growth does (at least one). The last segment takes the
+    remainder, so any N works.
     """
-    m = E.shape[0]
+    L = n_steps
+    if growth * T > _SEGMENT_GROWTH:
+        L = max(1, int(_SEGMENT_GROWTH // (growth * T / n_steps)))
+    return np.append(np.arange(0, n_steps, L), n_steps)
+
+
+def _global_system(P: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """LAPACK band storage of the discretized two-point problem over K segments.
+
+    P is the (K, m, m) stack of segment propagators. Unknowns are the full
+    state W_j at every segment end j = 0..K, stacked end by end. Rows 0..n-1
+    pin the inventory block of W_0, segment j contributes the m rows
+    W_{j+1} - P_j W_j starting at row n + j m, and the last n rows pin the
+    inventory block of W_K.
+
+    Every entry lies within kl = n + m - 1 subdiagonals and ku = n
+    superdiagonals: -P_j[a, b] sits at row minus column n + a - b, the 1
+    closing segment j at -n, and the pins at 0 and n. Returns ab and
+    (kl, ku), with A[i, j] at ab[kl + ku + i - j, j] as gbsv reads it; the
+    first kl rows of ab are gbsv's room for fill-in.
+    """
+    K, m, _ = P.shape
     n = m // 2
-    size = (n_steps + 1) * m
+    kl, ku = n + m - 1, n
+    diag = kl + ku  # band row of the main diagonal
     comp = np.arange(m)
-    first = n + m * np.arange(n_steps + 1)  # first row of interval k; the end pins at k = N
-    rows = np.empty((n_steps + 1, m, m + 1), dtype=np.int64)
-    rows[:, :, 0] = first[:, None] - m + comp
-    rows[0, :, 0] = comp
-    rows[:, :, 1:] = first[:, None, None] + comp
-    vals = np.zeros((n_steps + 1, m, m + 1))
-    vals[:, :, 0] = 1.0
-    vals[0, n:, 0] = 0.0  # rate entries of Z_0 are free
-    vals[:-1, :, 1:] = -E.T
-    vals[-1, comp[:n], 1 + comp[:n]] = 1.0
-    keep = vals != 0.0
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(keep.sum(axis=2))
-    return sparse.csc_matrix((vals[keep], rows[keep], indptr), shape=(size, size))
+    ab = np.zeros((2 * kl + ku + 1, (K + 1) * m))
+    ab[diag + n + comp[:, None] - comp, m * np.arange(K)[:, None, None] + comp] = -P
+    ab[diag - n, m:] = 1.0  # the 1 that closes each segment
+    ab[diag, :n] = 1.0  # inventory pins of W_0
+    ab[diag + n, K * m:K * m + n] = 1.0  # inventory pins of W_K
+    return ab, (kl, ku)
 
 
-def _global_route(E: np.ndarray, n_steps: int, x_left, steps: Optional[np.ndarray]) -> np.ndarray:
-    """Every node at once, for stiff horizons.
+def _multiple_shooting(M: np.ndarray, E: np.ndarray, T: float, ends: np.ndarray, x_left,
+                       steps: Optional[np.ndarray]) -> np.ndarray:
+    """Node states from one banded solve over the segment ends, then a march.
 
-    Factors the matrix of _global_system with splu and its default COLAMD
-    column ordering and solves it against (x_left, step_0, ...,
-    step_{N-1}, 0). Entries stay O(e^{growth dt}) so the system is
-    representable for horizons where single shooting overflows, and the
-    factorization splits stable from unstable modes implicitly.
+    Segment j spans the L intervals from node ends[j] to ends[j + 1]. Its
+    propagator P_j = e^{M L dt} (E itself when L = 1, so one interval per
+    segment gives the system over every node) and its forcing f_j, the
+    steps s_k accumulated by f <- E f + s_k, give W_{j+1} = P_j W_j + f_j.
+    The matrix of _global_system is solved against (x_left, f_0, ...,
+    f_{K-1}, 0) by LAPACK's banded LU with partial pivoting, whose memory
+    is the band itself. Each segment is then marched by
+    Z_{k+1} = E Z_k + s_k from its solved start; segment ends are taken
+    from the solve.
     """
     m = E.shape[0]
     n = m // 2
-    try:
-        lu = splu(_global_system(E, n_steps))
-    except RuntimeError as exc:  # splu reports exact singularity this way
-        raise SingularShootingMatrix(f"global boundary system is singular ({exc})") from exc
-    rhs = np.zeros((n_steps + 1) * m)
+    n_steps = ends[-1]
+    lengths = np.diff(ends).tolist()
+    props = {1: E}
+    for L in set(lengths) - {1}:
+        props[L] = _expm(M * (T * L / n_steps))
+    rhs = np.zeros(ends.size * m)
     rhs[:n] = x_left
     if steps is not None:
-        rhs[n:-n] = steps.ravel()
-    Z = lu.solve(rhs)
-    if not np.all(np.isfinite(Z)):
-        raise SingularShootingMatrix("global boundary solve produced non-finite values")
-    return Z.reshape(n_steps + 1, m)
-
-
-def _shooting_route(M: np.ndarray, E: np.ndarray, T: float, n_steps: int, x_left,
-                    steps: Optional[np.ndarray]) -> np.ndarray:
-    """Shooting for the initial rates, then a march across the grid.
-
-    With Phi = e^{M T} and P the forced response accumulated to T, the
-    initial rates solve S y = -Phi_xx x_left - P_x for the shooting matrix
-    S = Phi_xy, after which the grid is marched forward from (x_left, y).
-    """
-    m = M.shape[0]
-    n = m // 2
-    Phi = _expm(M * T)
-    S = Phi[:n, n:]
-    P_end = np.zeros(m)
-    if steps is not None:
-        for k in range(n_steps):
-            P_end = E @ P_end + steps[k]
-    rhs = -Phi[:n, :n] @ x_left - P_end[:n]
-    if not np.all(np.isfinite(rhs)):
-        raise SingularShootingMatrix("shooting right-hand side is not finite")
-    try:
-        y_left = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularShootingMatrix(f"boundary solve failed ({exc})") from exc
-    if not np.all(np.isfinite(y_left)):
-        raise SingularShootingMatrix("boundary solve produced non-finite rates")
+        f = rhs[n:-n].reshape(-1, m)
+        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            acc = np.zeros(m)
+            for s_k in steps[a:b]:
+                acc = E @ acc + s_k
+            f[j] = acc
+    ab, (kl, ku) = _global_system(np.stack([props[L] for L in lengths]))
+    _, _, W, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise SingularShootingMatrix(f"boundary system is singular (gbsv info {info})")
+    if not np.all(np.isfinite(W)):
+        raise SingularShootingMatrix("boundary solve produced non-finite values")
     Z = np.empty((n_steps + 1, m))
-    Z[0] = np.concatenate([x_left, y_left])
-    for k in range(n_steps):
-        Z[k + 1] = E @ Z[k] + (steps[k] if steps is not None else 0.0)
+    Z[ends] = W.reshape(-1, m)
+    for a, b in zip(ends[:-1], ends[1:]):
+        for k in range(a, b - 1):
+            Z[k + 1] = E @ Z[k] + (steps[k] if steps is not None else 0.0)
     return Z
 
 
@@ -292,12 +286,12 @@ def solve_finite(
 
     The drift's forcing is integrated exactly over every interval, so the
     node values are those of the continuous problem up to rounding and the
-    conditioning of the route, which follows growth T (see the module
-    docstring). Each agent's strategy carries its inventory and rate columns
-    of the solved node states. Terminal inventories are snapped to exactly
-    zero after the defect is recorded; the rates are kept as solved. The
-    optimality residual of the result is measured separately, by
-    residual_report.
+    conditioning of the boundary problem itself (see the module docstring).
+    Each agent's strategy carries its inventory and rate columns of the
+    solved node states. Initial inventories are snapped to exactly x0, and
+    terminal ones to exactly zero after the defect is recorded; the rates
+    are kept as solved. The optimality residual of the result is measured
+    separately, by residual_report.
     """
     x0 = np.asarray(x0, dtype=float)
     n = system.n_agents
@@ -310,13 +304,10 @@ def solve_finite(
     M = system.matrix
     E, steps = _step_map(system, T, n_steps)
     growth = float(np.max(np.linalg.eigvals(M).real))
-    if growth * T > _BALANCE_THRESHOLD:
-        Z = _global_route(E, n_steps, x0, steps)
-    else:
-        Z = _shooting_route(M, E, T, n_steps, x0, steps)
+    Z = _multiple_shooting(M, E, T, _segment_ends(growth, T, n_steps), x0, steps)
     X = Z[:, :n].copy()
     defect = float(np.max(np.abs(X[-1])))
-    X[-1, :] = 0.0
+    X[0], X[-1] = x0, 0.0
     grid = np.linspace(0.0, T, n_steps + 1)
     strategies = tuple(
         GridStrategy(grid=grid, positions=X[:, i], rates=Z[:, n + i]) for i in range(n)

@@ -46,10 +46,9 @@ class DegenerateEigenbasis(LiquidationGameError):
 class SingularShootingMatrix(LiquidationGameError):
     """The finite-horizon boundary solve is singular or not finite.
 
-    Raised by both routes of the grid solver: the shooting route when its
-    n x n shooting matrix cannot be solved, the global route when the
-    sparse system over every node is singular, and either when a matrix
-    exponential overflows.
+    Raised by the grid solver when the banded multiple-shooting system over
+    its segment ends is singular or solves to non-finite values, and when a
+    matrix exponential overflows.
     """
 
 

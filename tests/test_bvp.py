@@ -159,8 +159,8 @@ def test_agent_permutation_symmetry():
 
 
 def test_stiff_horizon_global_solve():
-    # growth * T ~ 87 overflows single shooting; the global branch must
-    # still reproduce the closed form at machine precision
+    # growth * T ~ 87 would overflow single shooting; split into segments,
+    # the solve must still reproduce the closed form at machine precision
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0)
     sol = solve(problem, 400)
@@ -172,7 +172,7 @@ def test_stiff_horizon_global_solve():
 
 
 def test_stiff_horizon_with_drift():
-    # same stiff spectrum plus forcing on the global route: the exact
+    # same stiff spectrum plus forcing, over several segments: the exact
     # per-interval forcing must keep the node values at machine precision
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0, drift=DriftSpec.constant(0.4))
@@ -183,39 +183,75 @@ def test_stiff_horizon_with_drift():
         assert np.max(np.abs(s.positions - want[i])) < 1e-12
 
 
-def dense_global_system(E, steps, x_left, n_steps):
+def test_moderate_growth_horizon_solves_to_rounding():
+    # growth * T ~ 13: single shooting amplified rounding by e^13 here (terminal
+    # defect 4e-10); segments bound the amplification by e^4
+    problem = make_problem(lam=0.3, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=3.0,
+                           drift=DriftSpec.constant(0.3))
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    assert 12.0 < growth * problem.T < 16.0
+    sol = solve(problem, 400)
+    assert sol.terminal_defect <= 1e-13 * np.max(np.abs(problem.x0))
+    assert bvp.residual_report(sol.strategies, problem).relative <= 1e-12
+
+
+def dense_global_system(P):
     """Block-by-block dense reference for bvp._global_system."""
-    m = E.shape[0]
+    K, m, _ = P.shape
     n = m // 2
-    size = (n_steps + 1) * m
+    size = (K + 1) * m
     A = np.zeros((size, size))
-    rhs = np.zeros(size)
     A[:n, :n] = np.eye(n)
-    rhs[:n] = x_left
-    for k in range(n_steps):
-        r = n + k * m
-        A[r:r + m, k * m:(k + 1) * m] = -E
-        A[r:r + m, (k + 1) * m:(k + 2) * m] = np.eye(m)
-        rhs[r:r + m] = steps[k]
-    A[size - n:, n_steps * m:n_steps * m + n] = np.eye(n)
-    return A, rhs
+    for j in range(K):
+        r = n + j * m
+        A[r:r + m, j * m:(j + 1) * m] = -P[j]
+        A[r:r + m, (j + 1) * m:(j + 2) * m] = np.eye(m)
+    A[size - n:, K * m:K * m + n] = np.eye(n)
+    return A
 
 
-@pytest.mark.parametrize("n, n_steps", [(3, 9), (10, 37)])
-def test_global_system_matches_block_reference(n, n_steps):
-    alphas = np.linspace(0.4, 1.6, n)
-    problem = make_problem(lam=0.05, alphas=alphas, x0=np.linspace(-1.0, 2.0, n), T=3.0)
-    E = expm(bvp.assemble(problem).matrix * (problem.T / n_steps))
-    E[-1, 0] = 0.0  # an exact zero must not be stored
-    steps = np.random.default_rng(n).normal(size=(n_steps, 2 * n))
-    A = bvp._global_system(E, n_steps)
-    A_ref, rhs_ref = dense_global_system(E, steps, problem.x0, n_steps)
-    assert A.format == "csc" and A.has_sorted_indices
-    assert np.array_equal(A.toarray(), A_ref)
-    assert A.nnz == np.count_nonzero(A_ref)
+@pytest.mark.parametrize("n, n_segments", [(3, 9), (10, 37)])
+def test_global_system_matches_block_reference(n, n_segments):
+    P = np.random.default_rng(n).normal(size=(n_segments, 2 * n, 2 * n))
+    P[n_segments // 2, -1, 0] = 0.0  # an exact zero stays a zero
+    ab, (kl, ku) = bvp._global_system(P)
+    A_ref = dense_global_system(P)
+    size = A_ref.shape[0]
+    assert (kl, ku) == (3 * n - 1, n) and ab.shape == (2 * kl + ku + 1, size)
+    i, j = np.indices(A_ref.shape)
+    in_band = (i - j <= kl) & (j - i <= ku)
+    A = np.zeros_like(A_ref)
+    A[in_band] = ab[(kl + ku + i - j)[in_band], j[in_band]]
+    assert np.array_equal(A, A_ref)  # so no entry of A_ref lies outside the band
+    assert not ab[:kl].any()  # gbsv's fill-in rows start empty
+    assert np.count_nonzero(ab) == np.count_nonzero(A_ref)  # nothing outside the matrix
 
-    Z = bvp._global_route(E, n_steps, problem.x0, steps)
-    want = np.linalg.solve(A_ref, rhs_ref).reshape(n_steps + 1, 2 * n)
+
+@pytest.mark.parametrize("n, lam, T, n_steps, segments", [
+    (3, 1.0, 2.0, 40, "one"),
+    (10, 0.05, 3.0, 37, "several"),
+    (3, 0.05, 3.0, 15, "one per interval"),
+])
+def test_multiple_shooting_matches_dense_node_system(n, lam, T, n_steps, segments):
+    problem = make_problem(lam=lam, alphas=np.linspace(0.4, 1.6, n),
+                           x0=np.linspace(-1.0, 2.0, n), T=T)
+    M = bvp.assemble(problem).matrix
+    growth = np.max(np.linalg.eigvals(M).real)
+    ends = bvp._segment_ends(growth, T, n_steps)
+    lengths = np.diff(ends)
+    assert ends[0] == 0 and ends[-1] == n_steps
+    if segments == "one":
+        assert lengths.tolist() == [n_steps]
+    elif segments == "several":
+        assert lengths[0] > 1 and lengths[-1] < lengths[0]  # with a remainder
+    else:
+        assert np.all(lengths == 1)
+    E = expm(M * (T / n_steps))
+    steps = np.random.default_rng(n_steps).normal(size=(n_steps, 2 * n))
+    Z = bvp._multiple_shooting(M, E, T, ends, problem.x0, steps)
+    A_ref = dense_global_system(np.broadcast_to(E, (n_steps, 2 * n, 2 * n)))
+    rhs = np.concatenate([problem.x0, steps.ravel(), np.zeros(n)])
+    want = np.linalg.solve(A_ref, rhs).reshape(n_steps + 1, 2 * n)
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -311,7 +347,7 @@ def test_sampled_drift_is_grid_independent(n_steps):
     rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(alphas=(0.3, 1.1), drift=rough)
     growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
-    assert growth * problem.T <= 16.0  # shooting route
+    assert growth * problem.T <= bvp._SEGMENT_GROWTH  # one shooting segment
     assert node_gap(problem, n_steps, 50) <= 1e-12
 
 
@@ -335,7 +371,7 @@ def test_stiff_sampled_drift_is_grid_independent():
     problem = make_problem(lam=0.02, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=8.0,
                            drift=drift)
     growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
-    assert growth * problem.T > 16.0  # global route
+    assert growth * problem.T > bvp._SEGMENT_GROWTH  # several shooting segments
     assert node_gap(problem, 400, 4) <= 1e-12
 
 
