@@ -9,8 +9,9 @@ the infinite horizon, a grid boundary solver for the general finite-horizon
 game (multiple shooting: one banded solve over segments short enough that
 rounding cannot grow much inside them, forced by the exact integral of the
 piecewise-linear drift over each interval), an independent discrete-game oracle (one banded solve of the stacked
-first-order conditions of the time-stepped game), and tools for evaluating,
-simulating, classifying and scanning equilibria.
+first-order conditions of the time-stepped game), and tools for evaluating
+(every agent's exact revenue moments from one Gram matrix of the profile's
+exponential modes), simulating, classifying and scanning equilibria.
 """
 
 from .errors import (
@@ -80,6 +81,7 @@ from .analysis import (
     deviation_report,
     effective_liquidation_time,
     mean_variance,
+    mean_variance_profile,
     mean_variance_sampled,
     monte_carlo_revenues,
     non_monotone,
@@ -140,6 +142,7 @@ __all__ = [
     "load_problem",
     "mean_field_strategy",
     "mean_variance",
+    "mean_variance_profile",
     "mean_variance_sampled",
     "monte_carlo_revenues",
     "negative_quartic_roots",

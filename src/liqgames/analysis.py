@@ -6,8 +6,10 @@ deterministic integral of products of inventories and trading rates, and the
 martingale sigma * int X_i dW. Mean-variance and CARA objectives therefore
 reduce to a handful of integrals, which this module computes in closed form
 for exponential-sum strategies and by composite Simpson quadrature on grids.
-The closed form integrates every pair of exponential terms at once: one
-numpy pair matrix per evaluation, whose block sums are the five integrals.
+The closed form serves every agent of a profile at once: the inventories
+and rates are combinations of a few shared exponential modes, one numpy pair
+matrix integrates the modes, and the Gram matrix G = C M C^T of the mode
+coefficients holds every agent's five integrals as block sums.
 
 Also here: Monte Carlo revenue simulation (one Brownian path set shared by
 the whole market, from a counter-based RNG so runs are reproducible), the
@@ -51,6 +53,7 @@ __all__ = [
     "ScanResult",
     "DeviationReport",
     "mean_variance",
+    "mean_variance_profile",
     "mean_variance_sampled",
     "monte_carlo_revenues",
     "classify_role",
@@ -237,13 +240,6 @@ def _terms(s: ExpSumStrategy):
     return s.coefs, s.rates, s.anchors, s.degrees
 
 
-def _dterms(s: ExpSumStrategy):
-    """Terms of the derivative: c r (t - a)^d e^{r(t-a)}, plus c e^{r(t-a)} if d = 1."""
-    c, r, a, d = _terms(s)
-    lin = d == 1
-    return _stack([(c * r, r, a, d), (c[lin], r[lin], a[lin], 0 * d[lin])])
-
-
 def _stack(term_lists):
     return tuple(np.concatenate(parts) for parts in zip(*term_lists))
 
@@ -331,27 +327,74 @@ def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
         raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
 
 
-def mean_variance(
-    strategy_i: Strategy,
-    others: Sequence[Strategy],
-    problem: Problem,
-    agent_index: int,
-) -> EvaluationResult:
-    """Objective of agent agent_index playing strategy_i against others.
+def _mode_gram(profile: Sequence[ExpSumStrategy], T: Optional[float]):
+    """(G, int_x, x_start) of an exponential-sum profile.
+
+    G[k, l] = int Z_k Z_l for Z = (X_1, ..., X_n, X_1', ..., X_n'),
+    int_x[i] = int X_i and x_start[i] = X_i(0). Each term is keyed by its
+    mode (t - a)^d e^{r (t - a)}, and modes are shared only when rate, anchor
+    and degree are exactly equal; with C the 2n x m coefficients of Z over
+    the m modes and M the exact pair integrals of the unit modes,
+    G = C M C^T from one pair matrix. Everything is built from elementwise
+    products and numpy reductions, not BLAS, so equal rows of C give
+    bit-equal results wherever they sit.
+    """
+    n = len(profile)
+    c, r, a, d = _stack([_terms(s) for s in profile])
+    agent = np.repeat(np.arange(n), [s.coefs.size for s in profile])
+    # rows n..2n-1 hold X_i', whose terms are c r (t - a)^d e^{r (t - a)},
+    # plus c e^{r (t - a)} where d = 1
+    lin = d == 1
+    c, r, a, d = _stack([(c, r, a, d), (c * r, r, a, d), (c[lin], r[lin], a[lin], 0 * d[lin])])
+    row = np.concatenate([agent, agent + n, agent[lin] + n])
+    live = c != 0.0  # a zero term adds nothing, so its mode is not integrated
+    modes, which = np.unique(
+        np.column_stack([r[live], a[live], d[live]]), axis=0, return_inverse=True
+    )
+    C = np.zeros((2 * n, modes.shape[0]))
+    np.add.at(C, (row[live], which.reshape(-1)), c[live])
+    rate, anchor, degree = modes[:, 0], modes[:, 1], modes[:, 2].astype(int)
+    unit = (np.ones(rate.size), rate, anchor, degree)
+    M = _pair_matrix(unit, _stack([unit, _CONST_ONE]), T)
+    CM = (C[:, :, None] * M[None, :, :-1]).sum(axis=1)
+    G = (CM[:, None, :] * C[None, :, :]).sum(axis=2)
+    at_zero = np.where(degree == 1, -anchor, 1.0) * np.exp(-rate * anchor)
+    X = C[:n]
+    return G, (X * M[:, -1]).sum(axis=1), (X * at_zero).sum(axis=1)
+
+
+def _block_sums(G: np.ndarray):
+    """Every agent's integrals from a profile's Gram matrix (see _mode_gram).
+
+    Returns arrays over agents: int X_i sum_{j!=i} X_j',
+    int X_i' sum_{j!=i} X_j', int X_i'^2, int X_i^2. A competitors' sum is
+    the row sum less the agent's own entry, so identical agents get
+    identical bits.
+    """
+    n = G.shape[0] // 2
+    pos_rate, rate_rate = G[:n, n:], G[n:, n:]
+    rate_sq = np.diagonal(rate_rate)
+    return (
+        pos_rate.sum(axis=1) - np.diagonal(pos_rate),
+        rate_rate.sum(axis=1) - rate_sq,
+        rate_sq,
+        np.diagonal(G)[:n],
+    )
+
+
+def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list[EvaluationResult]:
+    """Objective of every agent against the rest of profile, in profile order.
 
     Exponential-sum profiles with zero or constant drift are integrated in
-    closed form, as block sums of one term-pair matrix (finite or infinite
-    horizon); any grid strategy or sampled drift routes through composite
-    Simpson on a shared grid. others must hold the n-1 competitor strategies
-    in agent order with agent_index skipped.
+    closed form, finite or infinite horizon: every agent's integrals are
+    block sums of one Gram matrix over the profile's shared modes (see
+    _mode_gram). Any grid strategy or sampled drift routes through composite
+    Simpson on a shared grid.
     """
-    others = list(others)
-    if len(others) != problem.n - 1:
-        raise InvalidParam("others", "need one strategy per competitor")
-    if not 0 <= agent_index < problem.n:
-        raise InvalidParam("agent_index", "out of range")
-    profile = list(others)
-    profile.insert(agent_index, strategy_i)
+    profile = list(profile)
+    n = problem.n
+    if len(profile) != n:
+        raise InvalidParam("profile", f"expected {n} strategies, got {len(profile)}")
     for s in profile:
         _check_horizon(s, problem.horizon)
 
@@ -361,24 +404,22 @@ def mean_variance(
         raise HorizonMismatch("infinite-horizon evaluation needs exponential sums")
     T = problem.T
     if all_exp and drift.kind in ("zero", "constant"):
-        # rows: X_i, X_i'; columns: the others' rates, X_i', X_i, the constant 1
-        ti, di = _terms(strategy_i), _dterms(strategy_i)
-        cols = _stack([_dterms(s) for s in others] + [di, ti, _CONST_ONE])
-        pairs = _pair_matrix(_stack([ti, di]), cols, T)
-        nt, nd = ti[0].size, di[0].size
-        nj = cols[0].size - nd - nt - 1
-        pos, rate = pairs[:nt], pairs[nt:]
+        G, int_x, x_start = _mode_gram(profile, T)
+        pos_other, rate_other, rate_sq, pos_sq = _block_sums(G)
         b0 = drift(0.0) if drift.kind == "constant" else 0.0
-        return _result_from_integrals(
-            problem,
-            agent_index,
-            strategy_i.initial_position(),
-            b0 * pos[:, -1].sum(),
-            pos[:, :nj].sum(),
-            rate[:, :nj].sum(),
-            rate[:, nj : nj + nd].sum(),
-            pos[:, nj + nd : -1].sum(),
-        )
+        return [
+            _result_from_integrals(
+                problem,
+                i,
+                float(x_start[i]),
+                b0 * float(int_x[i]),
+                float(pos_other[i]),
+                float(rate_other[i]),
+                float(rate_sq[i]),
+                float(pos_sq[i]),
+            )
+            for i in range(n)
+        ]
 
     grids = [s for s in profile if isinstance(s, GridStrategy)]
     if grids:
@@ -388,7 +429,7 @@ def mean_variance(
                 raise GridMismatch("grid strategies must share one grid")
     else:
         t = np.linspace(0.0, T, _QUAD_STEPS + 1)
-    pos = np.empty((problem.n, t.size))
+    pos = np.empty((n, t.size))
     rate = np.empty_like(pos)
     for k, s in enumerate(profile):
         if isinstance(s, GridStrategy):
@@ -397,7 +438,29 @@ def mean_variance(
         else:
             pos[k] = s.position(t)
             rate[k] = s.rate(t)
-    return mean_variance_sampled(t, pos, rate, problem, agent_index)
+    return [mean_variance_sampled(t, pos, rate, problem, i) for i in range(n)]
+
+
+def mean_variance(
+    strategy_i: Strategy,
+    others: Sequence[Strategy],
+    problem: Problem,
+    agent_index: int,
+) -> EvaluationResult:
+    """Objective of agent agent_index playing strategy_i against others.
+
+    others must hold the n-1 competitor strategies in agent order with
+    agent_index skipped; the result is that agent's entry of
+    mean_variance_profile.
+    """
+    others = list(others)
+    if len(others) != problem.n - 1:
+        raise InvalidParam("others", "need one strategy per competitor")
+    if not 0 <= agent_index < problem.n:
+        raise InvalidParam("agent_index", "out of range")
+    profile = list(others)
+    profile.insert(agent_index, strategy_i)
+    return mean_variance_profile(profile, problem)[agent_index]
 
 
 def mean_variance_sampled(
@@ -542,9 +605,7 @@ def monte_carlo_revenues(
 
     results = []
     root_n = math.sqrt(config.paths)
-    for i in range(n):
-        others = profile[:i] + profile[i + 1 :]
-        analytic = mean_variance(profile[i], others, problem, i)
+    for i, analytic in enumerate(mean_variance_profile(profile, problem)):
         revenues = analytic.expected_revenue + stochastic[i]
         alpha = problem.agents[i].alpha
         mean = float(np.mean(revenues))

@@ -378,24 +378,17 @@ def residual_report(
         b = np.asarray(market.drift(t), dtype=float) * np.ones_like(t)
         sig2 = market.sigma**2
         lam, gamma = market.lam, market.gamma
-        sum_d1 = d1.sum(axis=0)
-        sum_d2 = d2.sum(axis=0)
-        max_res = 0.0
-        scale = 0.0
-        for i in range(n):
-            alpha_i = problem.agents[i].alpha
-            others_d1 = sum_d1 - d1[i]
-            others_d2 = sum_d2 - d2[i]
-            terms = (
-                alpha_i * sig2 * pos[i],
-                -2.0 * lam * d2[i],
-                -b,
-                -gamma * others_d1,
-                -lam * others_d2,
-            )
-            res = sum(terms)
-            max_res = max(max_res, float(np.max(np.abs(res))))
-            scale = max(scale, float(max(np.max(np.abs(term)) for term in terms)))
+        # one row per agent; the others' sums are the totals less the own row
+        terms = (
+            problem.alphas[:, None] * sig2 * pos,
+            -2.0 * lam * d2,
+            -b,
+            -gamma * (d1.sum(axis=0) - d1),
+            -lam * (d2.sum(axis=0) - d2),
+        )
+        res = sum(terms)
+        max_res = float(np.max(np.abs(res)))
+        scale = float(max(np.max(np.abs(term)) for term in terms))
         if problem.horizon.is_finite:
             end_err = max(abs(float(s.position(problem.T))) for s in strategies)
         else:

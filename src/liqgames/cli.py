@@ -18,6 +18,7 @@ exact floats and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -131,10 +132,7 @@ def _cmd_equilibrium(args) -> int:
     }
     if all(isinstance(s, ExpSumStrategy) for s in strategies):
         sidecar["agents_exact"] = [
-            analysis.mean_variance(
-                strategies[i], strategies[:i] + strategies[i + 1 :], problem, i
-            ).to_dict()
-            for i in range(n)
+            r.to_dict() for r in analysis.mean_variance_profile(strategies, problem)
         ]
     if args.mc_paths:
         cfg = analysis.MonteCarloConfig(
@@ -238,7 +236,13 @@ def _cmd_classify(args) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main() call.
+
+    Reuse is safe: each parse_args call fills a fresh namespace from the
+    declared defaults, and no argument holds a mutable default.
+    """
     parser = _ArgumentParser(
         prog="liqgames",
         description="Nash equilibria for multi-agent optimal liquidation",
@@ -268,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="Monte Carlo seed of one Brownian path set shared by all agents",
     )
-    eq.set_defaults(func=_cmd_equilibrium)
 
     sc = sub.add_parser("scan", help="sweep one parameter")
     sc.add_argument("--problem", required=True)
@@ -282,28 +285,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--probe-agent", type=int, required=True, help="1-based agent index")
     sc.add_argument("--probe-time", type=float, required=True)
     sc.add_argument("--grid", type=int, default=400)
-    sc.set_defaults(func=_cmd_scan)
 
     oc = sub.add_parser("oracle-check", help="cross-validate against the discrete oracle")
     oc.add_argument("--problem", required=True)
     oc.add_argument("--grid", type=int, default=200)
     oc.add_argument("--tol", type=_tolerance, default=1e-2)
     oc.add_argument("--out", default=None, help="optional JSON report path")
-    oc.set_defaults(func=_cmd_oracle_check)
 
     cl = sub.add_parser("classify", help="role of an agent with zero inventory")
     cl.add_argument("--lam", type=float, required=True, help="temporary impact lambda")
     cl.add_argument("--gamma", type=float, required=True, help="permanent impact gamma")
     cl.add_argument("--sigma", type=float, required=True, help="volatility")
     cl.add_argument("--alpha", type=float, required=True, help="risk aversion")
-    cl.set_defaults(func=_cmd_classify)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up per call, not stored in the reused parser, so a rebound
+        # handler (a tracing wrapper, say) takes effect
+        command = {
+            "equilibrium": _cmd_equilibrium,
+            "scan": _cmd_scan,
+            "oracle-check": _cmd_oracle_check,
+            "classify": _cmd_classify,
+        }[args.command]
+        return command(args)
     except (_UsageError, InvalidParam, UnsupportedCase, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

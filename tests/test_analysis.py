@@ -20,6 +20,7 @@ from liqgames import analysis, closed_form
 from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
 from liqgames.model import (
     AgentSpec,
+    DriftSpec,
     ExpSumStrategy,
     GridStrategy,
     Horizon,
@@ -146,6 +147,155 @@ def test_pair_matrix_matches_quad():
     got = analysis._pair_matrix(rows, cols, None)
     want = np.array([[_quad_pair(p, q, None) for q in zip(*cols)] for p in zip(*rows)])
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def _closed(terms, T):
+    """ExpSumStrategy of (coef, rate, anchor, degree) rows plus a rate-0.8 term anchored
+    at T that brings X(T) to zero."""
+    c, r, a, d = (np.array(x, dtype=float) for x in zip(*terms))
+    end = float(np.sum(c * (T - a) ** d * np.exp(r * (T - a))))
+    return ExpSumStrategy(coefs=np.append(c, -end), rates=np.append(r, 0.8),
+                          anchors=np.append(a, T), degrees=np.append(d, 0).astype(int),
+                          horizon=Horizon.finite(T))
+
+
+def _profile_case(name):
+    """(problem, profile) of one mean_variance_profile reference case."""
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    drifting = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0,
+                            drift=DriftSpec.constant(0.4))
+    if name == "equal_alpha_finite_n20":
+        agents = [AgentSpec(x, 0.7) for x in np.linspace(-1.0, 3.0, 20)]
+        return (validate_problem(drifting, agents, Horizon.finite(1.5)),
+                closed_form.equal_alpha_finite(market, agents, 1.5))
+    if name == "equal_alpha_infinite_n7":
+        agents = [AgentSpec(x, 0.7) for x in np.linspace(-1.0, 3.0, 7)]
+        return (validate_problem(market, agents, Horizon.infinite()),
+                closed_form.equal_alpha_infinite(market, agents))
+    if name == "het2inf":
+        agents = [AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.5)]
+        first, second, _ = closed_form.two_player_infinite(market, *agents)
+        return validate_problem(market, agents, Horizon.infinite()), [first, second]
+    if name == "risk_neutral_single":
+        # the degree-1 term's derivative adds the mode (rate 0, degree 0)
+        problem = validate_problem(drifting, [AgentSpec(1.12, 0.0)], Horizon.finite(2.0))
+        return problem, [linear_strategy(1.12, 2.0)]
+    # hand-built: agent 1 puts two terms on one mode, agents 1 and 2 share the
+    # (-0.5, 0) mode, agent 3's rate -0.5 sits at another anchor (a mode of its
+    # own), the closing mode (0.8, T) is common and the rest are unshared
+    T = 2.0
+    profile = [
+        _closed([(0.7, -0.5, 0.0, 0), (0.5, -0.5, 0.0, 0), (0.2, -0.3, 0.0, 1)], T),
+        _closed([(1.0, -0.5, 0.0, 0), (0.4, -1.3, 0.0, 0)], T),
+        _closed([(1.5, -2.0, 0.0, 0), (-0.6, -0.5, 1.0, 0), (0.3, 0.0, 0.0, 1)], T),
+    ]
+    agents = [AgentSpec(s.initial_position(), a) for s, a in zip(profile, (0.4, 1.1, 0.0))]
+    return validate_problem(drifting, agents, Horizon.finite(T)), profile
+
+
+def _term_values(terms, t, derivative):
+    """X(t), or X'(t), of the (coefs, rates, anchors, degrees) terms c (t - a)^d e^{r (t - a)}."""
+    c, r, a, d = terms
+    u = t - a
+    factor = np.where(d == 1, 1.0 + r * u, r) if derivative else np.where(d == 1, u, 1.0)
+    return float(np.sum(c * np.exp(r * u) * factor))
+
+
+def _quad_integrals(profile, T):
+    """Per agent, by quad: int X_i, int X_i S_i, int X_i' S_i, int X_i'^2, int X_i^2
+    with S_i the sum of the others' rates; and each integral of |integrand|."""
+    upper = math.inf if T is None else T
+    terms = [(s.coefs, s.rates, s.anchors, s.degrees) for s in profile]
+    values, scales = [], []
+    for i, own in enumerate(terms):
+        rest_terms = terms[:i] + terms[i + 1:]
+        others = [np.concatenate(x) for x in zip(*rest_terms)] if rest_terms else [np.zeros(0)] * 4
+
+        def x(t):
+            return _term_values(own, t, False)
+
+        def v(t):
+            return _term_values(own, t, True)
+
+        def rest(t):
+            return _term_values(others, t, True)
+
+        integrands = (x, lambda t: x(t) * rest(t), lambda t: v(t) * rest(t),
+                      lambda t: v(t) ** 2, lambda t: x(t) ** 2)
+        row, row_scale = [], []
+        for f in integrands:
+            row.append(quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400)[0])
+            row_scale.append(quad(lambda t: abs(f(t)), 0.0, upper, limit=400)[0])
+        values.append(row)
+        scales.append(row_scale)
+    return np.array(values), np.array(scales)
+
+
+PROFILE_CASES = ["equal_alpha_finite_n20", "equal_alpha_infinite_n7", "het2inf",
+                 "risk_neutral_single", "hand_built"]
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+def test_mean_variance_profile_matches_quad(name):
+    problem, profile = _profile_case(name)
+    T = problem.T
+    want, scale = _quad_integrals(profile, T)
+    G, int_x, x_start = analysis._mode_gram(profile, T)
+    got = np.column_stack((int_x,) + analysis._block_sums(G))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-10 * scale)
+    starts = [s.initial_position() for s in profile]
+    np.testing.assert_allclose(x_start, starts, rtol=1e-14, atol=1e-15 * max(map(abs, starts)))
+
+    m = problem.market
+    b0 = m.drift(0.0) if m.drift.kind == "constant" else 0.0
+    results = analysis.mean_variance_profile(profile, problem)
+    assert len(results) == problem.n
+    for i, res in enumerate(results):
+        x0 = profile[i].initial_position()
+        want_e = (x0 * m.s0 - 0.5 * m.gamma * x0**2 + b0 * want[i, 0] + m.gamma * want[i, 1]
+                  - m.lam * want[i, 2] - m.lam * want[i, 3])
+        size = (abs(x0 * m.s0) + 0.5 * m.gamma * x0**2 + abs(b0) * scale[i, 0]
+                + m.gamma * scale[i, 1] + m.lam * (scale[i, 2] + scale[i, 3]))
+        assert abs(res.expected_revenue - want_e) <= 1e-10 * size
+        assert res.variance == pytest.approx(m.sigma**2 * want[i, 4], rel=1e-10)
+        # mean_variance indexes the same route
+        assert analysis.mean_variance(profile[i], profile[:i] + profile[i + 1:], problem, i) == res
+
+
+def test_mean_variance_profile_grid_route_is_simpson_on_the_shared_grid():
+    problem = validate_problem(MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0),
+                               (AgentSpec(1.12, 0.4), AgentSpec(2.06, 1.3)), Horizon.finite(2.0))
+    strats, route = analysis.compute_equilibrium(problem, grid_steps=200)
+    assert route == "bvp"
+    results = analysis.mean_variance_profile(strats, problem)
+    t = strats[0].grid
+    positions = np.vstack([s.positions for s in strats])
+    rates = np.vstack([s.rates for s in strats])
+    for i in range(2):
+        assert results[i] == analysis.mean_variance_sampled(t, positions, rates, problem, i)
+    with pytest.raises(InvalidParam):
+        analysis.mean_variance_profile(strats[:1], problem)
+    with pytest.raises(HorizonMismatch):
+        analysis.mean_variance_profile([strats[0], linear_strategy(2.06, 1.5)], problem)
+
+
+@pytest.mark.parametrize("horizon, twins", [(Horizon.finite(1.5), (0, 3)),
+                                            (Horizon.infinite(), (1, 6))],
+                         ids=["finite_n5", "infinite_n7"])
+def test_twins_get_bit_identical_moments_and_samples(horizon, twins):
+    # agents with equal x0 and alpha hold equal strategies, wherever they sit
+    n = 5 if horizon.is_finite else 7
+    x0 = list(np.linspace(-1.0, 3.0, n))
+    x0[twins[1]] = x0[twins[0]]
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    problem = validate_problem(market, [AgentSpec(x, 0.7) for x in x0], horizon)
+    strats, _ = analysis.compute_equilibrium(problem)
+    i, j = twins
+    exact = analysis.mean_variance_profile(strats, problem)
+    assert exact[i] == exact[j]
+    mc = analysis.monte_carlo_revenues(strats, problem, analysis.MonteCarloConfig(paths=200, time_steps=50))
+    assert mc[i] == mc[j]
 
 
 @settings(max_examples=60, deadline=None)

@@ -326,6 +326,59 @@ def test_residual_report_counts_probes():
     assert {"max_residual", "scale", "relative"} <= set(d)
 
 
+def per_agent_residual(strategies, problem, t):
+    """Every report field of the Euler-Lagrange check, one agent at a time."""
+    m = problem.market
+    pos = np.array([s.position(t) for s in strategies])
+    d1 = np.array([s.rate(t) for s in strategies])
+    d2 = np.array([s.accel(t) for s in strategies])
+    b = np.asarray(m.drift(t), dtype=float) * np.ones_like(t)
+    max_res = scale = 0.0
+    for i, agent in enumerate(problem.agents):
+        terms = (
+            agent.alpha * m.sigma**2 * pos[i],
+            -2.0 * m.lam * d2[i],
+            -b,
+            -m.gamma * (d1.sum(axis=0) - d1[i]),
+            -m.lam * (d2.sum(axis=0) - d2[i]),
+        )
+        max_res = max(max_res, float(np.max(np.abs(sum(terms)))))
+        scale = max(scale, float(max(np.max(np.abs(term)) for term in terms)))
+    t_end = problem.T if problem.horizon.is_finite else t[-1]
+    return {
+        "max_residual": max_res,
+        "scale": scale,
+        "relative": max_res / scale,
+        "boundary_start": max(abs(float(s.position(0.0)) - a.x0)
+                              for s, a in zip(strategies, problem.agents)),
+        "boundary_end": max(abs(float(s.position(t_end))) for s in strategies),
+        "n_probes": t.size,
+    }
+
+
+@pytest.mark.parametrize("case", ["equal_alpha_n7_constant_drift", "het2inf"])
+def test_exp_sum_residual_equals_per_agent_reference(case):
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    if case == "het2inf":
+        agents = [AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.5)]
+        problem = validate_problem(market, agents, Horizon.infinite())
+        strategies = list(closed_form.two_player_infinite(market, *agents)[:2])
+        t_end = np.log(1e6) / abs(max(float(np.max(s.rates)) for s in strategies))
+    else:
+        agents = [AgentSpec(x, 0.7) for x in np.linspace(-1.0, 3.0, 7)]
+        drifting = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0,
+                                drift=DriftSpec.constant(0.3))
+        problem = validate_problem(drifting, agents, Horizon.finite(1.5))
+        # the zero-drift equilibrium, so the drift leaves a real residual
+        strategies = closed_form.equal_alpha_finite(market, agents, 1.5)
+        t_end = 1.5
+    report = bvp.residual_report(strategies, problem, n_probes=57).to_dict()
+    want = per_agent_residual(strategies, problem, np.linspace(0.0, t_end, 59)[1:-1])
+    assert report["max_residual"] > 0.0
+    for field, value in want.items():
+        assert report[field] == value, field
+
+
 # ---------------------------------------------------------------------------
 # sampled drift between the nodes
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from liqgames import analysis, bvp, closed_form, oracle
+from liqgames import analysis, bvp, cli, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
@@ -216,6 +216,59 @@ def test_usage_errors_map_to_exit_1(tmp_path, problem_file, capsys):
     assert main([]) == 1
     assert "usage:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_reused_parser_gives_fresh_parser_outputs(tmp_path, problem_file):
+    # one parser serves every main() call in a process; no flag value or
+    # default may carry over from one call to the next
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    infinite = tmp_path / "inf.json"
+    dump_problem(validate_problem(market, (AgentSpec(1.0, 0.8), AgentSpec(0.5, 0.8)),
+                                  Horizon.infinite()), str(infinite))
+    fin, inf = str(problem_file), str(infinite)
+    calls = [
+        ["equilibrium", "--problem", fin, "--out", "{d}/bad.csv", "--bogus"],
+        ["equilibrium", "--problem", fin, "--out", "{d}/eq.csv"],
+        ["oracle-check", "--problem", fin, "--grid", "60", "--out", "{d}/oracle.json"],
+        ["equilibrium", "--problem", fin, "--out", "{d}/mc5.csv", "--mc-paths", "200",
+         "--seed", "5"],
+        ["equilibrium", "--problem", fin, "--out", "{d}/mc0.csv", "--mc-paths", "200"],
+        ["equilibrium", "--problem", inf, "--out", "{d}/inf3.csv", "--t-max", "3"],
+        ["equilibrium", "--problem", inf, "--out", "{d}/inf.csv"],
+    ]
+
+    def run(name, fresh):
+        d = tmp_path / name
+        d.mkdir()
+        codes = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            codes.append(main([a.format(d=d) for a in argv]))
+        return codes, {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+
+    reused = run("reused", fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    fresh = run("fresh", fresh=True)
+    assert reused[0] == fresh[0] == [1, 0, 0, 0, 0, 0, 0]
+    assert reused[1].keys() == fresh[1].keys() and len(reused[1]) == 11
+    for name, data in reused[1].items():
+        assert data == fresh[1][name], name
+    assert reused[1]["mc5.json"] != reused[1]["mc0.json"]
+
+
+def test_rebound_handlers_take_effect_after_the_parser_is_built(problem_file, monkeypatch):
+    # the reused parser stores no handler: each call looks the handlers up by name
+    assert main(["classify", "--lam", "1", "--gamma", "1", "--sigma", "1", "--alpha", "1"]) == 0
+    seen = []
+    for name in ("_cmd_equilibrium", "_cmd_scan", "_cmd_oracle_check", "_cmd_classify"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: seen.append(name) or 0)
+    assert main(["equilibrium", "--problem", str(problem_file), "--out", "x.csv"]) == 0
+    assert main(["scan", "--problem", str(problem_file), "--out", "x.csv", "--param", "n",
+                 "--values", "1,2", "--probe-agent", "1", "--probe-time", "0.5"]) == 0
+    assert main(["oracle-check", "--problem", str(problem_file)]) == 0
+    assert main(["classify", "--lam", "1", "--gamma", "1", "--sigma", "1", "--alpha", "1"]) == 0
+    assert seen == ["_cmd_equilibrium", "_cmd_scan", "_cmd_oracle_check", "_cmd_classify"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
