@@ -509,22 +509,6 @@ def mean_variance_sampled(
 # ---------------------------------------------------------------------------
 
 
-# Brownian increments drawn per chunk: at most 4 MB of float64, so memory does
-# not grow with the number of paths.
-_CHUNK_VALUES = 2**19
-
-
-def _chunk_rows(time_steps: int) -> int:
-    """Paths per chunk: the largest power of two that fits _CHUNK_VALUES.
-
-    BLAS matrix-vector kernels work on fixed groups of rows and split rows
-    evenly across threads. A power-of-two chunk keeps those groups where one
-    unchunked product puts them (when the path count splits evenly too), so
-    chunking changes no bit of the result.
-    """
-    return 1 << max(0, (_CHUNK_VALUES // time_steps).bit_length() - 1)
-
-
 def _slowest_rate(profile: Sequence[ExpSumStrategy]) -> float:
     return max(float(np.max(s.rates)) for s in profile)
 
@@ -546,24 +530,21 @@ def _ito_sums(positions: np.ndarray, dt: float, paths: int, seed: int) -> np.nda
     """sum_k X_i(t_k) dW_k of every row X_i, on one common Brownian path set.
 
     positions is (n_agents, n_steps) at the left end of each step; returns
-    (n_agents, paths). The increments come from a Philox generator keyed by
-    seed, drawn in chunks into one reused buffer. Each agent's sums are one
-    matrix-vector product per chunk: bit-identical to the product with one
-    unchunked draw, which a single matrix-matrix product over all agents is
-    not.
+    (n_agents, paths). With dW ~ N(0, dt I), the sums S = X dW have exactly
+    the law N(0, dt X X^T), so they are drawn from at most n_agents normals
+    per path: with X^T = Q R (reduced QR), B = X Q has B B^T = X X^T,
+    and S = sqrt(dt) B xi for xi ~ N(0, I) from a Philox generator keyed by
+    seed. Any rank works. B is formed one row at a time by numpy's own
+    products and sums, not BLAS, so identical rows of X get identical rows of
+    B, and hence bit-identical sums; a zero row gets exactly zero.
     """
-    n, steps = positions.shape
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    chunk = _chunk_rows(steps)
-    buf = np.empty((min(chunk, paths), steps))
-    sums = np.empty((n, paths))
-    for a in range(0, paths, chunk):
-        b = min(a + chunk, paths)
-        view = buf[: b - a]
-        rng.standard_normal(out=view)
-        view *= math.sqrt(dt)
-        for i in range(n):
-            sums[i, a:b] = view @ positions[i]
+    Q = np.linalg.qr(positions.T)[0]
+    B = np.array([np.sum(row[:, None] * Q, axis=0) for row in positions])
+    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((Q.shape[1], paths))
+    sums = np.zeros((positions.shape[0], paths))
+    for b_j, xi_j in zip(B.T, xi):
+        sums += np.outer(b_j, xi_j)
+    sums *= math.sqrt(dt)
     return sums
 
 
@@ -578,9 +559,10 @@ def monte_carlo_revenues(
     drawn from a Philox counter-based generator keyed by config.seed, serves
     the whole market: identical config, identical output. Only the martingale
     sigma * int X_i dW is random; each agent's paths add it to that agent's
-    analytic expected revenue. The paths are drawn in chunks of at most 4 MB,
-    so memory does not grow with config.paths, and agent 1's numbers equal
-    those of one unchunked draw bit for bit. Infinite horizons are truncated
+    analytic expected revenue. The martingale is the left-point Ito sum on
+    config.time_steps steps, drawn from its exact Gaussian law (see
+    _ito_sums): n normals per path rather than time_steps, so memory is
+    paths x n doubles. Infinite horizons are truncated
     where the slowest mode of the profile has decayed by e^-40; each agent's
     variance left in the tail is reported. Returns one MonteCarloResult per
     agent, in profile order.

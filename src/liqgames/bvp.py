@@ -23,15 +23,17 @@ returned GridStrategy carries both blocks of it: inventories and rates.
 
 One route solves the resulting discrete boundary system, multiple shooting
 (Stoer and Bulirsch, Introduction to Numerical Analysis, sec. 7.3.5). The
-grid is cut into segments of whole intervals, short enough that the fastest
-growth rate of M times the segment length stays within a fixed budget. One
-solve couples the states at the segment ends through each segment's
-propagator e^{M L dt} and accumulated forcing; its matrix is banded, is
-written straight into LAPACK band storage from index arithmetic, and is
-solved by banded LU with partial pivoting (gbsv), whose memory is the band
-itself. A march across each segment from its solved start fills in the
-interior nodes. A horizon with growth T within the budget is one segment,
-which is plain shooting; on the stiffest grids every interval is a
+grid of N intervals is cut into segments of at most ceil(sqrt(N)) whole
+intervals, also short enough that the fastest growth rate of M times the
+segment length stays within a fixed budget. One solve couples the states at
+the segment ends through each segment's propagator e^{M L dt} and
+accumulated forcing; its matrix is banded, is written straight into LAPACK
+band storage from index arithmetic, and is solved by banded LU with partial
+pivoting (gbsv), whose memory is the band itself. A march across each
+segment from its solved start fills in the interior nodes. The forcing
+accumulation and the march advance all segments in lockstep, so each takes
+about sqrt(N) vectorised steps rather than N. A mild horizon is sqrt(N)
+segments of sqrt(N) intervals; on the stiffest grids every interval is a
 segment, which is a banded solve over every node. Rounding grows by at most
 the budget's exponential inside a segment, whatever the horizon.
 
@@ -45,6 +47,7 @@ itself is checked against closed forms and manufactured solutions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -183,13 +186,15 @@ def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2) -> np
 def _segment_ends(growth: float, T: float, n_steps: int) -> np.ndarray:
     """End nodes 0, L, 2 L, ..., N of the shooting segments.
 
-    L = N while growth T stays within _SEGMENT_GROWTH, else the most whole
-    intervals whose growth does (at least one). The last segment takes the
+    L is ceil(sqrt(N)), so the banded solve couples about sqrt(N) segment
+    ends and the lockstep march of _multiple_shooting takes about sqrt(N)
+    steps; it is cut further to the most whole intervals whose growth stays
+    within _SEGMENT_GROWTH (at least one). The last segment takes the
     remainder, so any N works.
     """
-    L = n_steps
+    L = math.isqrt(n_steps - 1) + 1
     if growth * T > _SEGMENT_GROWTH:
-        L = max(1, int(_SEGMENT_GROWTH // (growth * T / n_steps)))
+        L = max(1, min(L, int(_SEGMENT_GROWTH // (growth * T / n_steps))))
     return np.append(np.arange(0, n_steps, L), n_steps)
 
 
@@ -225,43 +230,56 @@ def _multiple_shooting(M: np.ndarray, E: np.ndarray, T: float, ends: np.ndarray,
                        steps: Optional[np.ndarray]) -> np.ndarray:
     """Node states from one banded solve over the segment ends, then a march.
 
-    Segment j spans the L intervals from node ends[j] to ends[j + 1]. Its
-    propagator P_j = e^{M L dt} (E itself when L = 1, so one interval per
+    Segment j spans the L_j intervals from node ends[j] to ends[j + 1]. Its
+    propagator P_j = e^{M L_j dt} (E itself when L_j = 1, so one interval per
     segment gives the system over every node) and its forcing f_j, the
     steps s_k accumulated by f <- E f + s_k, give W_{j+1} = P_j W_j + f_j.
     The matrix of _global_system is solved against (x_left, f_0, ...,
     f_{K-1}, 0) by LAPACK's banded LU with partial pivoting, whose memory
     is the band itself. Each segment is then marched by
     Z_{k+1} = E Z_k + s_k from its solved start; segment ends are taken
-    from the solve.
+    from the solve. Both the accumulation and the march advance every
+    segment in lockstep, one step index at a time, so they take max L_j
+    steps rather than N.
     """
     m = E.shape[0]
     n = m // 2
     n_steps = ends[-1]
-    lengths = np.diff(ends).tolist()
+    starts = ends[:-1]
+    lengths = np.diff(ends)
     props = {1: E}
-    for L in set(lengths) - {1}:
+    for L in set(lengths.tolist()) - {1}:
         props[L] = _expm(M * (T * L / n_steps))
+
+    def advance(i: int, Z: np.ndarray, k: int) -> np.ndarray:
+        # step i of the first k segments, one per row. numpy's own loop, not
+        # BLAS: see the note in residual_report
+        Z = np.einsum("ij,kj->ki", E, Z[:k])
+        return Z if steps is None else Z + steps[starts[:k] + i]
+
+    # lengths never increase (see _segment_ends), so the segments still
+    # running at step i are the first count(lengths > i)
     rhs = np.zeros(ends.size * m)
     rhs[:n] = x_left
     if steps is not None:
         f = rhs[n:-n].reshape(-1, m)
-        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
-            acc = np.zeros(m)
-            for s_k in steps[a:b]:
-                acc = E @ acc + s_k
-            f[j] = acc
-    ab, (kl, ku) = _global_system(np.stack([props[L] for L in lengths]))
+        for i in range(lengths[0]):
+            k = np.count_nonzero(lengths > i)
+            f[:k] = advance(i, f, k)
+    ab, (kl, ku) = _global_system(np.stack([props[L] for L in lengths.tolist()]))
     _, _, W, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=True, overwrite_b=True)
     if info != 0:
         raise SingularShootingMatrix(f"boundary system is singular (gbsv info {info})")
     if not np.all(np.isfinite(W)):
         raise SingularShootingMatrix("boundary solve produced non-finite values")
     Z = np.empty((n_steps + 1, m))
-    Z[ends] = W.reshape(-1, m)
-    for a, b in zip(ends[:-1], ends[1:]):
-        for k in range(a, b - 1):
-            Z[k + 1] = E @ Z[k] + (steps[k] if steps is not None else 0.0)
+    W = W.reshape(-1, m)
+    Z[ends] = W
+    cur = W[:-1]
+    for i in range(lengths[0] - 1):
+        k = np.count_nonzero(lengths > i + 1)
+        cur = advance(i, cur, k)
+        Z[starts[:k] + i + 1] = cur
     return Z
 
 

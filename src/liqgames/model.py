@@ -481,7 +481,7 @@ class GridStrategy:
         steps = np.diff(g)
         if not np.all(steps > 0):
             raise InvalidParam("grid", "grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        if not np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0])):
             raise InvalidParam("grid", "grid must be uniform")
         if p[-1] != 0.0:
             raise InvalidParam("positions", "final position must be exactly zero")

@@ -378,37 +378,28 @@ def test_monte_carlo_reruns_bit_identical():
     assert c[0].mean != a[0].mean
 
 
-def test_monte_carlo_chunks_equal_one_draw():
-    # 2560 paths of 400 steps are 2.5 chunks; agent 1 must still equal, bit
-    # for bit, the sample built from one unchunked draw. 2560 splits into
-    # whole groups of 4 rows on up to 16 BLAS threads, so the reference's own
-    # threaded product groups its rows as the chunked one does.
-    problem = two_agent_problem()
-    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
-    cfg = analysis.MonteCarloConfig(paths=2560, time_steps=400, seed=5)
-    assert cfg.paths % analysis._chunk_rows(cfg.time_steps) != 0
-    mc = analysis.monte_carlo_revenues(strats, problem, cfg)[0]
+def test_monte_carlo_draws_the_exact_law_of_the_ito_sums():
+    # rows: a path, its twin, a zero row and a second path. The left-point
+    # sums S = X dW are N(0, dt X X^T); the draw must match that covariance
+    # and a per-step reference draw, and keep twins and zeros exact
+    steps, paths, dt = 12, 200_000, 0.25
+    t = dt * np.arange(steps)
+    X = np.array([3.0 - t, 3.0 - t, np.zeros(steps), np.cos(t)])
+    sums = analysis._ito_sums(X, dt, paths, seed=4)
+    assert sums.shape == (4, paths)
+    assert np.array_equal(sums[0], sums[1])
+    assert not sums[2].any()
 
-    t = np.linspace(0.0, 2.0, cfg.time_steps + 1)
-    X = np.array([s.position(t) for s in strats])
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    draw = rng.standard_normal((cfg.paths, cfg.time_steps)) * math.sqrt(t[1] - t[0])
-    sums = analysis._ito_sums(X[:, :-1], t[1] - t[0], cfg.paths, cfg.seed)
-    for i in range(2):
-        assert np.array_equal(sums[i], draw @ X[i, :-1])
+    rng = np.random.default_rng(4)
+    ref = np.zeros((4, paths))
+    for k in range(steps):
+        ref += np.outer(X[:, k], rng.standard_normal(paths) * math.sqrt(dt))
 
-    mean = analysis.mean_variance(strats[0], [strats[1]], problem, 0).expected_revenue
-    revenues = mean + problem.market.sigma * (draw @ X[0, :-1])
-    root_n = math.sqrt(cfg.paths)
-    assert mc.mean == float(np.mean(revenues))
-    assert mc.mean_se == float(np.std(revenues, ddof=1) / root_n)
-    centered_sq = (revenues - mc.mean) ** 2
-    assert mc.variance == float(np.sum(centered_sq) / (cfg.paths - 1))
-    assert mc.variance_se == float(np.std(centered_sq, ddof=1) / root_n)
-    alpha = problem.agents[0].alpha
-    utils = (1.0 - np.exp(-alpha * revenues)) / alpha
-    assert mc.cara_mean == float(np.mean(utils))
-    assert mc.cara_se == float(np.std(utils, ddof=1) / root_n)
+    C = dt * X @ X.T
+    se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / paths)
+    got = sums @ sums.T / paths
+    assert np.all(np.abs(got - C) <= 5.0 * se)
+    assert np.all(np.abs(got - ref @ ref.T / paths) <= 5.0 * math.sqrt(2.0) * se)
 
 
 def test_monte_carlo_noise_is_common_to_all_agents():
@@ -422,7 +413,7 @@ def test_monte_carlo_noise_is_common_to_all_agents():
     assert first == second
 
 
-def test_monte_carlo_memory_is_bounded_by_the_chunk():
+def test_monte_carlo_memory_does_not_grow_with_time_steps():
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
     cfg = analysis.MonteCarloConfig(paths=50_000, time_steps=400, seed=0)
@@ -432,7 +423,7 @@ def test_monte_carlo_memory_is_bounded_by_the_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one unchunked draw would hold 160 MB (50k x 400 float64)
+    # a draw of every increment would hold 160 MB (50k x 400 float64)
     assert peak < 32e6
 
 

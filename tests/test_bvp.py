@@ -228,7 +228,7 @@ def test_global_system_matches_block_reference(n, n_segments):
 
 
 @pytest.mark.parametrize("n, lam, T, n_steps, segments", [
-    (3, 1.0, 2.0, 40, "one"),
+    (3, 1.0, 2.0, 40, "root N"),
     (10, 0.05, 3.0, 37, "several"),
     (3, 0.05, 3.0, 15, "one per interval"),
 ])
@@ -240,8 +240,8 @@ def test_multiple_shooting_matches_dense_node_system(n, lam, T, n_steps, segment
     ends = bvp._segment_ends(growth, T, n_steps)
     lengths = np.diff(ends)
     assert ends[0] == 0 and ends[-1] == n_steps
-    if segments == "one":
-        assert lengths.tolist() == [n_steps]
+    if segments == "root N":  # growth T within budget: ceil(sqrt(N)) intervals each
+        assert lengths.tolist() == [7, 7, 7, 7, 7, 5]
     elif segments == "several":
         assert lengths[0] > 1 and lengths[-1] < lengths[0]  # with a remainder
     else:
@@ -252,6 +252,47 @@ def test_multiple_shooting_matches_dense_node_system(n, lam, T, n_steps, segment
     A_ref = dense_global_system(np.broadcast_to(E, (n_steps, 2 * n, 2 * n)))
     rhs = np.concatenate([problem.x0, steps.ravel(), np.zeros(n)])
     want = np.linalg.solve(A_ref, rhs).reshape(n_steps + 1, 2 * n)
+    assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_steps, layout", [
+    (40, "one segment"),
+    (41, "segment rule"),
+    (15, "one per interval"),
+])
+def test_lockstep_march_matches_sequential_march(n_steps, layout):
+    # the reference accumulates each segment's forcing and marches its
+    # interior one node at a time, segment after segment
+    problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0))
+    M = bvp.assemble(problem).matrix
+    m, n, T = M.shape[0], problem.n, problem.T
+    growth = np.max(np.linalg.eigvals(M).real)
+    ends = {
+        "one segment": np.array([0, n_steps]),
+        "segment rule": bvp._segment_ends(growth, T, n_steps),
+        "one per interval": np.arange(n_steps + 1),
+    }[layout]
+    if layout == "segment rule":  # prime N leaves a shorter last segment
+        assert np.diff(ends).tolist() == [7, 7, 7, 7, 7, 6]
+    E = expm(M * (T / n_steps))
+    steps = np.random.default_rng(n_steps).normal(size=(n_steps, m))
+    Z = bvp._multiple_shooting(M, E, T, ends, problem.x0, steps)
+
+    props, forcing = [], []
+    for a, b in zip(ends[:-1], ends[1:]):
+        props.append(E if b - a == 1 else expm(M * (T * (b - a) / n_steps)))
+        acc = np.zeros(m)
+        for k in range(a, b):
+            acc = E @ acc + steps[k]
+        forcing.append(acc)
+    rhs = np.concatenate([problem.x0, *forcing, np.zeros(n)])
+    W = np.linalg.solve(dense_global_system(np.array(props)), rhs).reshape(-1, m)
+    want = np.empty_like(Z)
+    want[ends] = W
+    for a, b, z in zip(ends[:-1], ends[1:], W):
+        for k in range(a, b - 1):
+            z = E @ z + steps[k]
+            want[k + 1] = z
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -313,6 +313,23 @@ def test_grid_strategy_validation():
         GridStrategy(grid=g, positions=zeros, rates=nan_rate)
 
 
+@pytest.mark.parametrize("off, uniform", [(0.9e-9, True), (1.1e-9, False)])
+def test_grid_strategy_uniformity_tolerance(off, uniform):
+    # one step may differ from the first by 1e-9 of it, relative
+    steps = np.full(32, 1.0 / 32)
+    steps[20] *= 1.0 + off
+    g = np.concatenate([[0.0], np.cumsum(steps)])
+    zeros = np.zeros(33)
+    if uniform:
+        GridStrategy(grid=g, positions=zeros, rates=zeros)
+    else:
+        with pytest.raises(InvalidParam):
+            GridStrategy(grid=g, positions=zeros, rates=zeros)
+    g[9] = np.nan
+    with pytest.raises(InvalidParam):
+        GridStrategy(grid=g, positions=zeros, rates=zeros)
+
+
 # ---------------------------------------------------------------------------
 # system matrix
 # ---------------------------------------------------------------------------
