@@ -16,7 +16,7 @@ def main():
     problem = validate_problem(market, agents, Horizon.finite(2.0))
 
     exact = closed_form.equal_alpha_finite(market, agents, 2.0)
-    sol = bvp.solve_finite(bvp.assemble(problem), problem.x0, 2.0, 400)
+    sol = bvp.solve_finite(problem, 400)
 
     grid = sol.strategies[0].grid
     gap = max(float(np.max(np.abs(s.positions - e.position(grid))))

@@ -42,7 +42,6 @@ from .model import (
     Strategy,
     alphas_equal,
     dump_problem,
-    eval_strategy,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -63,7 +62,6 @@ from .closed_form import (
 )
 from .bvp import (
     BvpSolution,
-    FirstOrderSystem,
     ResidualReport,
     assemble,
     residual_report,
@@ -101,7 +99,6 @@ __all__ = [
     "DriftSpec",
     "EvaluationResult",
     "ExpSumStrategy",
-    "FirstOrderSystem",
     "FixedPointReport",
     "GammaZero",
     "GridMismatch",
@@ -136,7 +133,6 @@ __all__ = [
     "effective_liquidation_time",
     "equal_alpha_finite",
     "equal_alpha_infinite",
-    "eval_strategy",
     "finite_to_infinite_convergence",
     "iterate_nash",
     "load_problem",

@@ -32,6 +32,7 @@ from .errors import (
     InvalidParam,
     LiquidationGameError,
     NeverReached,
+    UnsupportedCase,
 )
 from .model import (
     AgentSpec,
@@ -41,7 +42,6 @@ from .model import (
     MarketParams,
     Problem,
     Strategy,
-    eval_strategy,
     validate_problem,
 )
 
@@ -316,9 +316,6 @@ def _result_from_integrals(
     )
 
 
-_QUAD_STEPS = 2000  # Simpson intervals for exponential sums under a sampled drift
-
-
 def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
     hz = strategy.horizon
     if hz.is_finite != horizon.is_finite:
@@ -385,11 +382,14 @@ def _block_sums(G: np.ndarray):
 def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list[EvaluationResult]:
     """Objective of every agent against the rest of profile, in profile order.
 
-    Exponential-sum profiles with zero or constant drift are integrated in
-    closed form, finite or infinite horizon: every agent's integrals are
-    block sums of one Gram matrix over the profile's shared modes (see
-    _mode_gram). Any grid strategy or sampled drift routes through composite
-    Simpson on a shared grid.
+    Exponential-sum profiles with zero or constant drift (a sampled drift
+    of zeros included) are integrated in closed form, finite or infinite
+    horizon: every agent's integrals are block sums of one Gram matrix over
+    the profile's shared modes (see _mode_gram). A profile holding a grid strategy is integrated by
+    composite Simpson on the grid's nodes (mean_variance_sampled), with
+    exponential-sum members sampled there. An exponential-sum profile under
+    any other sampled drift has no such grid and raises UnsupportedCase:
+    compute_equilibrium returns grid strategies for those drifts.
     """
     profile = list(profile)
     n = problem.n
@@ -399,12 +399,12 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
         _check_horizon(s, problem.horizon)
 
     drift = problem.market.drift
-    all_exp = all(isinstance(s, ExpSumStrategy) for s in profile)
-    if not problem.horizon.is_finite and not all_exp:
-        raise HorizonMismatch("infinite-horizon evaluation needs exponential sums")
-    T = problem.T
-    if all_exp and drift.kind in ("zero", "constant"):
-        G, int_x, x_start = _mode_gram(profile, T)
+    grids = [s for s in profile if isinstance(s, GridStrategy)]
+    if not grids:
+        # a sampled drift of zeros is the zero drift the closed forms solve
+        if drift.kind == "sampled" and not drift.is_zero:
+            raise UnsupportedCase("exponential-sum profiles need a zero or constant drift")
+        G, int_x, x_start = _mode_gram(profile, problem.T)
         pos_other, rate_other, rate_sq, pos_sq = _block_sums(G)
         b0 = drift(0.0) if drift.kind == "constant" else 0.0
         return [
@@ -421,14 +421,10 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
             for i in range(n)
         ]
 
-    grids = [s for s in profile if isinstance(s, GridStrategy)]
-    if grids:
-        t = grids[0].grid
-        for s in grids[1:]:
-            if s.grid.shape != t.shape or not np.array_equal(s.grid, t):
-                raise GridMismatch("grid strategies must share one grid")
-    else:
-        t = np.linspace(0.0, T, _QUAD_STEPS + 1)
+    t = grids[0].grid
+    for s in grids[1:]:
+        if s.grid.shape != t.shape or not np.array_equal(s.grid, t):
+            raise GridMismatch("grid strategies must share one grid")
     pos = np.empty((n, t.size))
     rate = np.empty_like(pos)
     for k, s in enumerate(profile):
@@ -438,7 +434,7 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
         else:
             pos[k] = s.position(t)
             rate[k] = s.rate(t)
-    return [mean_variance_sampled(t, pos, rate, problem, i) for i in range(n)]
+    return mean_variance_sampled(t, pos, rate, problem)
 
 
 def mean_variance(
@@ -468,14 +464,14 @@ def mean_variance_sampled(
     positions: np.ndarray,
     rates: np.ndarray,
     problem: Problem,
-    agent_index: int,
-) -> EvaluationResult:
-    """Objective from a fully sampled profile (the CSV evaluation path).
+) -> list[EvaluationResult]:
+    """Objective of every agent from a fully sampled profile, in agent order.
 
     positions and rates are (n_agents, n_nodes) samples on the uniform grid
-    t. The same quadrature runs whether samples come from a solver or from a
+    t, integrated by composite Simpson. This is the CSV evaluation path: the
+    same quadrature runs whether samples come from a solver or from a
     re-read output file, so round-tripping an emitted CSV reproduces the
-    sidecar evaluation bit for bit.
+    sidecar's agents block bit for bit.
     """
     t = np.asarray(t, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -489,19 +485,21 @@ def mean_variance_sampled(
         raise GridMismatch("quadrature grid must be uniform")
     w = _simpson_weights(t.size, float(steps[0]))
     b = np.asarray(problem.market.drift(t), dtype=float) * np.ones_like(t)
-    xi = positions[agent_index]
-    vi = rates[agent_index]
-    s_other = rates.sum(axis=0) - vi
-    return _result_from_integrals(
-        problem,
-        agent_index,
-        float(xi[0]),
-        float(w @ (xi * b)),
-        float(w @ (xi * s_other)),
-        float(w @ (vi * s_other)),
-        float(w @ (vi * vi)),
-        float(w @ (xi * xi)),
-    )
+    total_rate = rates.sum(axis=0)
+    results = []
+    for i, (xi, vi) in enumerate(zip(positions, rates)):
+        s_other = total_rate - vi
+        results.append(_result_from_integrals(
+            problem,
+            i,
+            float(xi[0]),
+            float(w @ (xi * b)),
+            float(w @ (xi * s_other)),
+            float(w @ (vi * s_other)),
+            float(w @ (vi * vi)),
+            float(w @ (xi * xi)),
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +691,7 @@ def compute_equilibrium(problem: Problem, grid_steps: int = 400):
                 closed_form.equal_alpha_finite(m, problem.agents, problem.T),
                 "closed_form",
             )
-        system = bvp.assemble(problem)
-        sol = bvp.solve_finite(system, problem.x0, problem.T, grid_steps)
-        return list(sol.strategies), "bvp"
+        return list(bvp.solve_finite(problem, grid_steps).strategies), "bvp"
     if problem.equal_alpha:
         return closed_form.equal_alpha_infinite(m, problem.agents), "closed_form"
     first, second, _ = closed_form.two_player_infinite(
@@ -763,7 +759,7 @@ def parameter_scan(
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
             strategies, _ = compute_equilibrium(p2, grid_steps)
-            probe_value = float(eval_strategy(strategies[agent_index], t_probe)[0])
+            probe_value = float(strategies[agent_index].position(t_probe))
             out.append(ScanResult(value=float(v), probe_value=probe_value, status="ok"))
         except LiquidationGameError as exc:
             out.append(

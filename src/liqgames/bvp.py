@@ -57,11 +57,10 @@ from scipy.linalg.lapack import dgbsv
 # Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
-from .errors import GridMismatch, InvalidParam, SingularShootingMatrix
+from .errors import GridMismatch, HorizonMismatch, InvalidParam, SingularShootingMatrix
 from .model import DriftSpec, GridStrategy, Problem, system_matrix
 
 __all__ = [
-    "FirstOrderSystem",
     "BvpSolution",
     "ResidualReport",
     "assemble",
@@ -78,24 +77,12 @@ _SEGMENT_GROWTH = 4.0
 _KNOT_SNAP = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FirstOrderSystem:
-    """First-order form dZ/dt = M Z + f(t) of the equilibrium conditions."""
-
-    matrix: np.ndarray
-    n_agents: int
-    lam: float
-    drift: DriftSpec
-
-
-def assemble(problem: Problem) -> FirstOrderSystem:
-    """Build the first-order system for a validated problem."""
-    return FirstOrderSystem(
-        matrix=system_matrix(problem.market, problem.alphas),
-        n_agents=problem.n,
-        lam=problem.market.lam,
-        drift=problem.market.drift,
-    )
+def assemble(problem: Problem) -> Tuple[np.ndarray, np.ndarray]:
+    """(M, u) of dZ/dt = M Z + b(t) u for a validated problem."""
+    n = problem.n
+    u = np.zeros(2 * n)
+    u[n:] = -1.0 / (problem.market.lam * (n + 1))
+    return system_matrix(problem.market, problem.alphas), u
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,24 +270,16 @@ def _multiple_shooting(M: np.ndarray, E: np.ndarray, T: float, ends: np.ndarray,
     return Z
 
 
-def _step_map(system: FirstOrderSystem, T: float, n_steps: int):
+def _step_map(M: np.ndarray, u: np.ndarray, drift: DriftSpec, T: float, n_steps: int):
     """Exact interval map Z_{k+1} = E Z_k + s_k: E and s (None for zero drift)."""
-    n = system.n_agents
-    u = np.zeros(2 * n)
-    u[n:] = -1.0 / (system.lam * (n + 1))
-    E, p1, p2 = _propagators(system.matrix, u, T / n_steps)
-    if system.drift.is_zero:
+    E, p1, p2 = _propagators(M, u, T / n_steps)
+    if drift.is_zero:
         return E, None
-    return E, _forcing_steps(system.matrix, u, system.drift, T, n_steps, p1, p2)
+    return E, _forcing_steps(M, u, drift, T, n_steps, p1, p2)
 
 
-def solve_finite(
-    system: FirstOrderSystem,
-    x0: Sequence[float],
-    T: float,
-    n_steps: int = 400,
-) -> BvpSolution:
-    """Numerical equilibrium over [0, T] on a uniform grid of n_steps intervals.
+def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
+    """Numerical equilibrium of a finite-horizon problem on n_steps intervals.
 
     The drift's forcing is integrated exactly over every interval, so the
     node values are those of the continuous problem up to rounding and the
@@ -311,16 +290,13 @@ def solve_finite(
     are kept as solved. The optimality residual of the result is measured
     separately, by residual_report.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = system.n_agents
-    if x0.size != n:
-        raise InvalidParam("x0", "one initial inventory per agent required")
-    if T <= 0:
-        raise InvalidParam("T", "horizon length must be > 0")
+    if not problem.horizon.is_finite:
+        raise HorizonMismatch("the grid solver needs a finite horizon")
     if n_steps < 8:
         raise InvalidParam("n_steps", "need at least 8 intervals")
-    M = system.matrix
-    E, steps = _step_map(system, T, n_steps)
+    n, T, x0 = problem.n, problem.T, problem.x0
+    M, u = assemble(problem)
+    E, steps = _step_map(M, u, problem.market.drift, T, n_steps)
     growth = float(np.max(np.linalg.eigvals(M).real))
     Z = _multiple_shooting(M, E, T, _segment_ends(growth, T, n_steps), x0, steps)
     X = Z[:, :n].copy()
@@ -372,7 +348,7 @@ def residual_report(
         Z = np.empty((t.size, 2 * n))
         for i, s in enumerate(strategies):  # interpolation returns grid nodes exactly
             Z[:, i], Z[:, n + i] = s.position(t), s.rate(t)
-        E, steps = _step_map(assemble(problem), problem.T, t.size - 1)
+        E, steps = _step_map(*assemble(problem), problem.market.drift, problem.T, t.size - 1)
         # numpy's own loop, not BLAS: right after expm, a threaded BLAS product
         # of this size took about 5 ms at n = 20 on 2 CPUs, this loop 0.4 ms
         mapped = np.einsum("ij,kj->ki", E, Z[:-1])

@@ -7,7 +7,8 @@ Subcommands:
   classify      role of an inventory-less agent for given market parameters
 
 Exit codes: 0 success, 1 configuration error (including flags argparse
-rejects, and tolerances or a t-max that are negative or not finite),
+rejects, a --grid below 8 intervals, and tolerances or a t-max that are
+negative or not finite),
 2 solver failure (including an oracle fixed point that fails its
 verification sweep), 4 tolerance breached. A run that stops on an error
 writes no output file; exit 4, and exit 2 from a failed verification
@@ -52,6 +53,13 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _grid(text: str) -> int:
+    value = int(text)
+    if value < 8:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 8, got {text}")
     return value
 
 
@@ -119,10 +127,7 @@ def _cmd_equilibrium(args) -> int:
         rates[i] = s.rate(t)
 
     residual = bvp.residual_report(strategies, problem)
-    evaluations = [
-        analysis.mean_variance_sampled(t, pos, rates, problem, i).to_dict()
-        for i in range(n)
-    ]
+    evaluations = [r.to_dict() for r in analysis.mean_variance_sampled(t, pos, rates, problem)]
     sidecar = {
         "route": route,
         "grid": {"n_steps": args.grid, "t_max": window},
@@ -136,7 +141,7 @@ def _cmd_equilibrium(args) -> int:
         ]
     if args.mc_paths:
         cfg = analysis.MonteCarloConfig(
-            paths=args.mc_paths, time_steps=max(args.grid, 8), seed=args.seed
+            paths=args.mc_paths, time_steps=args.grid, seed=args.seed
         )
         # config by keyword: perfbench's tracer reads it from kwargs["config"]
         sidecar["monte_carlo"] = [
@@ -252,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("equilibrium", help="solve a problem file")
     eq.add_argument("--problem", required=True, help="problem JSON file")
     eq.add_argument("--out", required=True, help="output CSV path")
-    eq.add_argument("--grid", type=int, default=400, help="grid intervals (default 400)")
+    eq.add_argument("--grid", type=_grid, default=400, help="grid intervals, >= 8 (default 400)")
     eq.add_argument(
         "--t-max",
         type=float,
@@ -284,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--values", required=True, help="start:stop:count or v1,v2,...")
     sc.add_argument("--probe-agent", type=int, required=True, help="1-based agent index")
     sc.add_argument("--probe-time", type=float, required=True)
-    sc.add_argument("--grid", type=int, default=400)
+    sc.add_argument("--grid", type=_grid, default=400)
 
     oc = sub.add_parser("oracle-check", help="cross-validate against the discrete oracle")
     oc.add_argument("--problem", required=True)
-    oc.add_argument("--grid", type=int, default=200)
+    oc.add_argument("--grid", type=_grid, default=200)
     oc.add_argument("--tol", type=_tolerance, default=1e-2)
     oc.add_argument("--out", default=None, help="optional JSON report path")
 

@@ -37,7 +37,6 @@ __all__ = [
     "SpectralData",
     "Strategy",
     "validate_problem",
-    "eval_strategy",
     "system_matrix",
     "alphas_equal",
     "problem_to_dict",
@@ -323,7 +322,7 @@ def validate_problem(market: MarketParams, agents: Sequence[AgentSpec], horizon:
 
 
 def _in_domain(t, T: Optional[float]) -> np.ndarray:
-    """t as a float array; OutOfDomain before 0 or past T (None: no end)."""
+    """t as a float array; OutOfDomain for NaN, before 0 or past T (None: no end)."""
     t = np.asarray(t, dtype=float)
     # float compares for scalars, min/max for arrays: this runs on every evaluation
     if t.ndim == 0:
@@ -332,10 +331,11 @@ def _in_domain(t, T: Optional[float]) -> np.ndarray:
         lo, hi = t.min(), t.max()
     else:
         return t
-    if lo < 0.0:
-        raise OutOfDomain("t must be >= 0")
-    if T is not None and hi > T * (1.0 + 1e-12):
-        raise OutOfDomain(f"t must be <= {T}")
+    # negated, so that NaN fails both
+    if not lo >= 0.0:
+        raise OutOfDomain(f"t must be >= 0, got {lo}")
+    if T is not None and not hi <= T * (1.0 + 1e-12):
+        raise OutOfDomain(f"t must be <= {T}, got {hi}")
     return t
 
 
@@ -389,20 +389,6 @@ class ExpSumStrategy:
             if np.any(self.rates >= 0):
                 raise InvalidParam("rates", "infinite-horizon terms must decay strictly")
 
-    @classmethod
-    def from_terms(cls, terms: Sequence[Tuple[float, float]], horizon: Horizon) -> "ExpSumStrategy":
-        """Build from plain (coefficient, rate) pairs anchored at t = 0."""
-        terms = list(terms)
-        c = [p[0] for p in terms]
-        r = [p[1] for p in terms]
-        return cls(coefs=c, rates=r, anchors=np.zeros(len(terms)), horizon=horizon)
-
-    @property
-    def terms(self):
-        """Plain (coefficient, rate) view; only exact for degree-0 terms."""
-        math_coefs = self.coefs * np.exp(-self.rates * self.anchors)
-        return list(zip(math_coefs.tolist(), self.rates.tolist()))
-
     def _accumulate(self, t, order: int):
         t = _in_domain(t, self.horizon.T)
         out = np.zeros_like(t)
@@ -444,12 +430,6 @@ class ExpSumStrategy:
             degrees=np.concatenate([self.degrees, other.degrees]),
             horizon=self.horizon,
         )
-
-    def term_dicts(self):
-        return [
-            {"coef": float(c), "rate": float(r), "anchor": float(a), "degree": int(d)}
-            for c, r, a, d in zip(self.coefs, self.rates, self.anchors, self.degrees)
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,15 +496,6 @@ class GridStrategy:
 
 
 Strategy = Union[ExpSumStrategy, GridStrategy]
-
-
-def eval_strategy(strategy: Strategy, t):
-    """Evaluate (position, trading rate) at time t, scalar or array.
-
-    Raises OutOfDomain outside [0, T] for finite horizons or for t < 0 on
-    infinite horizons, as every strategy evaluation does.
-    """
-    return strategy.position(t), strategy.rate(t)
 
 
 # ---------------------------------------------------------------------------

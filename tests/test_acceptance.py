@@ -58,7 +58,7 @@ def closed_vs_bvp_draws():
             agents = tuple(AgentSpec(float(xi), a_s2) for xi in x)
             problem = validate_problem(market, agents, Horizon.finite(T))
             reference = closed_form.equal_alpha_finite(market, agents, T)
-            sol = bvp.solve_finite(bvp.assemble(problem), problem.x0, T, 400)
+            sol = bvp.solve_finite(problem, 400)
             out.append((problem, reference, sol))
     return out
 

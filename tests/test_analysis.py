@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from liqgames import analysis, closed_form
-from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
+from liqgames.errors import (
+    GridMismatch,
+    HorizonMismatch,
+    InvalidParam,
+    OutOfDomain,
+    UnsupportedCase,
+)
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -83,7 +89,7 @@ def test_sampled_route_matches_exact_route():
     t = np.linspace(0.0, 2.0, 2001)
     positions = np.vstack([s.position(t) for s in strats])
     rates = np.vstack([s.rate(t) for s in strats])
-    sampled = analysis.mean_variance_sampled(t, positions, rates, problem, 0)
+    sampled = analysis.mean_variance_sampled(t, positions, rates, problem)[0]
     assert abs(sampled.expected_revenue - exact.expected_revenue) < 1e-9
     assert abs(sampled.variance - exact.variance) < 1e-9
 
@@ -96,9 +102,9 @@ def test_sampled_route_matches_exact_route_n20():
     t = np.linspace(0.0, 1.5, 4001)
     positions = np.vstack([s.position(t) for s in strats])
     rates = np.vstack([s.rate(t) for s in strats])
-    for i in range(20):
+    sampled_all = analysis.mean_variance_sampled(t, positions, rates, problem)
+    for i, sampled in enumerate(sampled_all):
         exact = analysis.mean_variance(strats[i], strats[:i] + strats[i + 1:], problem, i)
-        sampled = analysis.mean_variance_sampled(t, positions, rates, problem, i)
         assert sampled.expected_revenue == pytest.approx(exact.expected_revenue, rel=1e-8)
         assert sampled.variance == pytest.approx(exact.variance, rel=1e-8)
 
@@ -272,8 +278,7 @@ def test_mean_variance_profile_grid_route_is_simpson_on_the_shared_grid():
     t = strats[0].grid
     positions = np.vstack([s.positions for s in strats])
     rates = np.vstack([s.rates for s in strats])
-    for i in range(2):
-        assert results[i] == analysis.mean_variance_sampled(t, positions, rates, problem, i)
+    assert results == analysis.mean_variance_sampled(t, positions, rates, problem)
     with pytest.raises(InvalidParam):
         analysis.mean_variance_profile(strats[:1], problem)
     with pytest.raises(HorizonMismatch):
@@ -317,6 +322,31 @@ def test_quadratic_scaling_identity(c, x):
     assert abs(res.variance - c**2 * one.variance) < 1e-12 * scale
 
 
+def test_exp_sum_profile_under_sampled_drift_is_unsupported():
+    # compute_equilibrium answers a sampled drift with grid strategies; an
+    # exponential-sum profile has no grid to integrate the drift on
+    zero = two_agent_problem()
+    strats = closed_form.equal_alpha_finite(zero.market, zero.agents, 2.0)
+    m = zero.market
+    drift = DriftSpec.sampled([0.0, 0.7, 2.0], [0.1, -0.3, 0.2])
+    market = MarketParams(lam=m.lam, gamma=m.gamma, sigma=m.sigma, s0=m.s0, drift=drift)
+    problem = validate_problem(market, zero.agents, zero.horizon)
+    with pytest.raises(UnsupportedCase):
+        analysis.mean_variance_profile(strats, problem)
+    with pytest.raises(UnsupportedCase):
+        analysis.mean_variance(strats[0], [strats[1]], problem, 0)
+    solved, route = analysis.compute_equilibrium(problem, grid_steps=64)
+    assert route == "bvp"
+    assert len(analysis.mean_variance_profile(solved, problem)) == 2
+    # a sampled drift of zeros is the zero drift: closed form, exact moments
+    zeros = DriftSpec.sampled([0.0, 2.0], [0.0, 0.0])
+    market = MarketParams(lam=m.lam, gamma=m.gamma, sigma=m.sigma, s0=m.s0, drift=zeros)
+    problem = validate_problem(market, zero.agents, zero.horizon)
+    assert analysis.compute_equilibrium(problem)[1] == "closed_form"
+    assert (analysis.mean_variance_profile(strats, problem)
+            == analysis.mean_variance_profile(strats, zero))
+
+
 def test_profile_shape_and_horizon_checks():
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
@@ -340,11 +370,11 @@ def test_sampled_profile_validation():
     t = np.linspace(0.0, 2.0, 101)
     pos = np.zeros((2, 101))
     with pytest.raises(GridMismatch):
-        analysis.mean_variance_sampled(t, pos[:, :-1], pos, problem, 0)
+        analysis.mean_variance_sampled(t, pos[:, :-1], pos, problem)
     t_bad = t.copy()
     t_bad[50] += 1e-3
     with pytest.raises(GridMismatch):
-        analysis.mean_variance_sampled(t_bad, pos, pos, problem, 0)
+        analysis.mean_variance_sampled(t_bad, pos, pos, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +595,27 @@ def test_parameter_scan_probe_past_horizon(alphas, route):
     assert math.isnan(rows[0].probe_value)
     assert [r.status for r in rows[1:]] == ["ok", "ok"]
     assert rows[1].probe_value == 0.0
+
+
+def test_nan_times_raise_out_of_domain():
+    # NaN fails every comparison, so each bound must be a test that NaN fails
+    problem = two_agent_problem()
+    het = validate_problem(problem.market, (AgentSpec(1.12, 0.3), AgentSpec(2.06, 1.1)),
+                           Horizon.finite(2.0))
+    closed, _ = analysis.compute_equilibrium(problem)
+    grid, route = analysis.compute_equilibrium(het, grid_steps=64)
+    assert route == "bvp"
+    infinite = ExpSumStrategy(coefs=[1.0], rates=[-1.0], anchors=[0.0],
+                              horizon=Horizon.infinite())
+    for s in (closed[0], grid[0], infinite):
+        for f in (s.position, s.rate):
+            for bad in (math.nan, np.array([0.5, math.nan]), np.array([math.nan, 0.5])):
+                with pytest.raises(OutOfDomain):
+                    f(bad)
+    for p in (problem, het):
+        rows = analysis.parameter_scan(p, "lambda", [0.5, 1.0], probe=(0, math.nan))
+        assert [r.status for r in rows] == ["OutOfDomain", "OutOfDomain"]
+        assert all(math.isnan(r.probe_value) for r in rows)
 
 
 def test_non_monotone_flags():

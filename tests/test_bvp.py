@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import GridMismatch, InvalidParam
+from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -34,8 +34,7 @@ def make_problem(lam=1.0, gamma=1.0, sigma=1.0, alphas=(0.8, 0.8),
 
 
 def solve(problem, n_steps=400):
-    system = bvp.assemble(problem)
-    return bvp.solve_finite(system, problem.x0, problem.T, n_steps)
+    return bvp.solve_finite(problem, n_steps)
 
 
 def manufactured_solution(market, alphas, x0, b, T, t):
@@ -188,7 +187,7 @@ def test_moderate_growth_horizon_solves_to_rounding():
     # defect 4e-10); segments bound the amplification by e^4
     problem = make_problem(lam=0.3, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=3.0,
                            drift=DriftSpec.constant(0.3))
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
     assert 12.0 < growth * problem.T < 16.0
     sol = solve(problem, 400)
     assert sol.terminal_defect <= 1e-13 * np.max(np.abs(problem.x0))
@@ -235,7 +234,7 @@ def test_global_system_matches_block_reference(n, n_segments):
 def test_multiple_shooting_matches_dense_node_system(n, lam, T, n_steps, segments):
     problem = make_problem(lam=lam, alphas=np.linspace(0.4, 1.6, n),
                            x0=np.linspace(-1.0, 2.0, n), T=T)
-    M = bvp.assemble(problem).matrix
+    M = bvp.assemble(problem)[0]
     growth = np.max(np.linalg.eigvals(M).real)
     ends = bvp._segment_ends(growth, T, n_steps)
     lengths = np.diff(ends)
@@ -264,7 +263,7 @@ def test_lockstep_march_matches_sequential_march(n_steps, layout):
     # the reference accumulates each segment's forcing and marches its
     # interior one node at a time, segment after segment
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0))
-    M = bvp.assemble(problem).matrix
+    M = bvp.assemble(problem)[0]
     m, n, T = M.shape[0], problem.n, problem.T
     growth = np.max(np.linalg.eigvals(M).real)
     ends = {
@@ -440,7 +439,7 @@ def test_sampled_drift_is_grid_independent(n_steps):
     ts = np.linspace(0.0, 2.0, 21)
     rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(alphas=(0.3, 1.1), drift=rough)
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
     assert growth * problem.T <= bvp._SEGMENT_GROWTH  # one shooting segment
     assert node_gap(problem, n_steps, 50) <= 1e-12
 
@@ -464,7 +463,7 @@ def test_stiff_sampled_drift_is_grid_independent():
     drift = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(lam=0.02, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=8.0,
                            drift=drift)
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
     assert growth * problem.T > bvp._SEGMENT_GROWTH  # several shooting segments
     assert node_gap(problem, 400, 4) <= 1e-12
 
@@ -491,11 +490,10 @@ def test_two_player_infinite_residual_and_boundaries():
 
 
 def test_solve_finite_validates_inputs():
-    problem = make_problem()
-    system = bvp.assemble(problem)
+    # a validated Problem fixes x0 and T > 0; the solver checks the rest
     with pytest.raises(InvalidParam):
-        bvp.solve_finite(system, [1.0], 2.0, 400)  # wrong x0 length
-    with pytest.raises(InvalidParam):
-        bvp.solve_finite(system, problem.x0, -1.0, 400)
-    with pytest.raises(InvalidParam):
-        bvp.solve_finite(system, problem.x0, 2.0, 4)
+        bvp.solve_finite(make_problem(), 4)
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0)
+    infinite = validate_problem(market, [AgentSpec(1.0, 0.5)], Horizon.infinite())
+    with pytest.raises(HorizonMismatch):
+        bvp.solve_finite(infinite)

@@ -16,6 +16,7 @@ from liqgames import analysis, bvp, cli, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
+    DriftSpec,
     Horizon,
     MarketParams,
     dump_problem,
@@ -119,11 +120,32 @@ def test_equilibrium_bvp_route_and_tolerance_gate(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("alphas, drift, route", [
+    ((0.8, 0.8), DriftSpec.zero(), "closed_form"),
+    ((0.5, 1.5), DriftSpec.sampled([0.0, 0.7, 2.0], [0.1, -0.3, 0.2]), "bvp"),
+])
+def test_csv_round_trip_reproduces_sidecar_agents(tmp_path, alphas, drift, route):
+    # the sidecar's agents block is a function of the emitted columns alone
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0, drift=drift)
+    agents = [AgentSpec(x, a) for x, a in zip((1.12, 2.06), alphas)]
+    src = tmp_path / "prob.json"
+    dump_problem(validate_problem(market, agents, Horizon.finite(2.0)), str(src))
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "eq.json").read_text())
+    assert side["route"] == route
+    data = read_csv(out)
+    results = analysis.mean_variance_sampled(
+        data[:, 0], data[:, 1:3].T, data[:, 3:5].T, load_problem(str(src))
+    )
+    assert [r.to_dict() for r in results] == side["agents"]
+
+
 def test_equilibrium_stiff_reruns_are_byte_identical(tmp_path):
     market = MarketParams(lam=0.02, gamma=1.0, sigma=1.0, s0=10.0)
     agents = (AgentSpec(1.0, 0.5), AgentSpec(-0.4, 1.0), AgentSpec(2.0, 1.8))
     problem = validate_problem(market, agents, Horizon.finite(8.0))
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem).matrix).real)
+    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
     assert growth * problem.T > bvp._SEGMENT_GROWTH  # several shooting segments
     src = tmp_path / "stiff.json"
     dump_problem(problem, str(src))
@@ -280,13 +302,22 @@ def test_non_finite_or_negative_tolerances_are_rejected(tmp_path, problem_file, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["0", "2"])
+@pytest.mark.parametrize("grid", ["0", "2", "7"])
 def test_too_coarse_emission_grid_writes_nothing(tmp_path, problem_file, grid):
+    # every --grid takes the solver's minimum of 8 intervals, checked at parse time
     out = tmp_path / "coarse.csv"
     assert main(["equilibrium", "--problem", str(problem_file), "--out", str(out),
-                 "--grid", grid]) == 1
+                 "--grid", grid, "--mc-paths", "200"]) == 1
     assert not out.exists()
     assert not (tmp_path / "coarse.json").exists()
+    assert main(["scan", "--problem", str(problem_file), "--out", str(out),
+                 "--param", "lambda", "--values", "0.5,1", "--probe-agent", "1",
+                 "--probe-time", "1", "--grid", grid]) == 1
+    assert not out.exists()
+    report = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--problem", str(problem_file), "--out", str(report),
+                 "--grid", grid]) == 1
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------

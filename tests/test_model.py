@@ -22,7 +22,6 @@ from liqgames.model import (
     MarketParams,
     alphas_equal,
     dump_problem,
-    eval_strategy,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -224,21 +223,6 @@ def test_expsum_scaled_plus():
                            anchors=np.array([0.0]), horizon=Horizon.infinite())
     with pytest.raises(HorizonMismatch):
         s.plus(other)
-
-
-def test_eval_strategy_domain():
-    s = make_expsum()
-    pos, rate = eval_strategy(s, 1.0)
-    assert pos == pytest.approx(s.position(1.0))
-    assert rate == pytest.approx(s.rate(1.0))
-    with pytest.raises(OutOfDomain):
-        eval_strategy(s, 3.5)
-    with pytest.raises(OutOfDomain):
-        eval_strategy(s, -0.1)
-    inf = ExpSumStrategy(coefs=np.array([1.0]), rates=np.array([-1.0]),
-                         anchors=np.array([0.0]), horizon=Horizon.infinite())
-    pos_inf, _ = eval_strategy(inf, 100.0)
-    assert pos_inf == pytest.approx(math.exp(-100.0), abs=1e-60)
 
 
 def test_strategies_raise_out_of_domain():

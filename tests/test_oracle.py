@@ -81,8 +81,7 @@ def test_heterogeneous_drift_game_matches_bvp():
     game = oracle.DiscreteGame(problem, n_steps=400)
     paths, report = oracle.iterate_nash(game)
     assert report.converged
-    system = bvp.assemble(problem)
-    sol = bvp.solve_finite(system, problem.x0, 2.0, 400)
+    sol = bvp.solve_finite(problem, 400)
     gaps = oracle.compare(game, paths, sol.strategies)
     assert np.max(gaps) < 1e-5
 
