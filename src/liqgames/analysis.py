@@ -172,79 +172,44 @@ class DeviationReport:
 # ---------------------------------------------------------------------------
 
 
-# A term list is a (coefs, rates, anchors, degrees) tuple of equal-length
-# arrays, one entry per term c (t - a)^d exp(r (t - a)) with d in {0, 1}.
-
-_SERIES_LEN = 30
-# 1 / (k + j + 1): series index j down the rows, moment order k = 0, 1, 2 across
-_SERIES_DIV = 1.0 / (np.arange(_SERIES_LEN)[:, None] + np.arange(3) + 1.0)
-
-
-def _tm_exp_moments(u: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T t^k exp(u t) dt for k = 0, 1, 2 and every u <= 0; shape (3, u.size).
-
-    |u| T < 0.5 sums 30 terms of the power series, anything larger the
-    upward recurrence I_k = (T^k e^{uT} - k I_{k-1}) / u, which cancels
-    badly for small |u| T; each entry is evaluated by one of them only.
-    """
-    out = np.empty((3, u.size))
-    x = u * T
-    small = np.abs(x) < 0.5
-    # (uT)^j / j! as the running product of uT / j
-    steps = x[small, None] / np.arange(1, _SERIES_LEN)
-    powers = np.cumprod(np.hstack([np.ones((steps.shape[0], 1)), steps]), axis=1)
-    out[:, small] = (powers @ _SERIES_DIV).T * T ** np.arange(1.0, 4.0)[:, None]
-    big = ~small
-    ub, xb = u[big], x[big]
-    e = np.exp(xb)
-    out[0, big] = np.expm1(xb) / ub
-    out[1, big] = (T * e - out[0, big]) / ub
-    out[2, big] = (T * T * e - 2.0 * out[1, big]) / ub
-    return out
+# A term list is a (coefs, rates, anchors) tuple of equal-length arrays, one
+# entry per pure exponential c exp(r (t - a)).
 
 
 def _pair_matrix(rows, cols, T: Optional[float]) -> np.ndarray:
     """int_0^T (int_0^inf when T is None) of every row-term x column-term product.
 
-    A pair with s = r1 + r2 < 0, and every pair on the infinite horizon, is
-    integrated from its value at t = 0; a pair with s >= 0 from its value at
-    T, substituting t -> T - t, so no growing exponential is ever evaluated.
-    Pairs with a zero coefficient are exactly 0.
+    Each product is a single exponential with rate s = r1 + r2: its value at
+    the end it decays from, times int_0^T e^{-|s| t} dt = expm1(-|s| T) / (-|s|)
+    (exactly T when s = 0). A pair with s < 0, and every pair on the infinite
+    horizon (integral 1 / (-s)), is anchored at t = 0; a pair with s >= 0 at
+    T, so no growing exponential is ever evaluated. Pairs with a zero
+    coefficient are exactly 0.
     """
-    c1, r1, a1, d1 = (x[:, None] for x in rows)
-    c2, r2, a2, d2 = (x[None, :] for x in cols)
+    c1, r1, a1 = (x[:, None] for x in rows)
+    c2, r2, a2 = (x[None, :] for x in cols)
     s = r1 + r2
-    # (t - a1)^d1 (t - a2)^d2 = beta0 + beta1 t + beta2 t^2
-    p1 = np.where(d1 == 1, -a1, 1.0)
-    p2 = np.where(d2 == 1, -a2, 1.0)
-    beta = (p1 * p2, p1 * d2 + d1 * p2, d1 * d2)
-    from_zero = -r1 * a1 - r2 * a2
+    expo = -r1 * a1 - r2 * a2
     if T is None:
-        # int_0^inf t^m e^{st} dt = m! / (-s)^{m+1}; infinite-horizon rates are < 0
-        neg = -s
-        moments = beta[0] / neg + beta[1] / neg**2 + 2.0 * beta[2] / neg**3
-        expo = from_zero
+        integral = 1.0 / -s  # infinite-horizon rates are < 0
     else:
-        i0, i1, i2 = _tm_exp_moments(-np.abs(s).ravel(), T).reshape((3,) + s.shape)
-        # anchored at T: t^m -> sum_k C(m, k) T^(m-k) (-1)^k t^k with e^{-st}
-        up = s >= 0
-        j1 = np.where(up, T * i0 - i1, i1)
-        j2 = np.where(up, T * T * i0 - 2.0 * T * i1 + i2, i2)
-        moments = beta[0] * i0 + beta[1] * j1 + beta[2] * j2
-        expo = np.where(up, r1 * (T - a1) + r2 * (T - a2), from_zero)
+        neg = -np.abs(s)
+        flat = neg == 0.0
+        integral = np.where(flat, T, np.expm1(neg * T) / np.where(flat, 1.0, neg))
+        expo = np.where(s >= 0, r1 * (T - a1) + r2 * (T - a2), expo)
     live = (c1 != 0.0) & (c2 != 0.0)
-    return np.where(live, c1 * c2 * np.exp(np.where(live, expo, 0.0)) * moments, 0.0)
+    return np.where(live, c1 * c2 * np.exp(np.where(live, expo, 0.0)) * integral, 0.0)
 
 
 def _terms(s: ExpSumStrategy):
-    return s.coefs, s.rates, s.anchors, s.degrees
+    return s.coefs, s.rates, s.anchors
 
 
 def _stack(term_lists):
     return tuple(np.concatenate(parts) for parts in zip(*term_lists))
 
 
-_CONST_ONE = (np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1, dtype=int))
+_CONST_ONE = (np.ones(1), np.zeros(1), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +294,31 @@ def _mode_gram(profile: Sequence[ExpSumStrategy], T: Optional[float]):
 
     G[k, l] = int Z_k Z_l for Z = (X_1, ..., X_n, X_1', ..., X_n'),
     int_x[i] = int X_i and x_start[i] = X_i(0). Each term is keyed by its
-    mode (t - a)^d e^{r (t - a)}, and modes are shared only when rate, anchor
-    and degree are exactly equal; with C the 2n x m coefficients of Z over
-    the m modes and M the exact pair integrals of the unit modes,
-    G = C M C^T from one pair matrix. Everything is built from elementwise
-    products and numpy reductions, not BLAS, so equal rows of C give
-    bit-equal results wherever they sit.
+    mode e^{r (t - a)}, and modes are shared only when rate and anchor are
+    exactly equal; X_i' has X_i's modes with coefficients c r. With C the
+    2n x m coefficients of Z over the m modes and M the exact pair integrals
+    of the unit modes, G = C M C^T from one pair matrix. Everything is built
+    from elementwise products and numpy reductions, not BLAS, so equal rows
+    of C give bit-equal results wherever they sit.
     """
     n = len(profile)
-    c, r, a, d = _stack([_terms(s) for s in profile])
+    c, r, a = _stack([_terms(s) for s in profile])
     agent = np.repeat(np.arange(n), [s.coefs.size for s in profile])
-    # rows n..2n-1 hold X_i', whose terms are c r (t - a)^d e^{r (t - a)},
-    # plus c e^{r (t - a)} where d = 1
-    lin = d == 1
-    c, r, a, d = _stack([(c, r, a, d), (c * r, r, a, d), (c[lin], r[lin], a[lin], 0 * d[lin])])
-    row = np.concatenate([agent, agent + n, agent[lin] + n])
+    c, r, a = _stack([(c, r, a), (c * r, r, a)])
+    row = np.concatenate([agent, agent + n])
     live = c != 0.0  # a zero term adds nothing, so its mode is not integrated
     modes, which = np.unique(
-        np.column_stack([r[live], a[live], d[live]]), axis=0, return_inverse=True
+        np.column_stack([r[live], a[live]]), axis=0, return_inverse=True
     )
     C = np.zeros((2 * n, modes.shape[0]))
     np.add.at(C, (row[live], which.reshape(-1)), c[live])
-    rate, anchor, degree = modes[:, 0], modes[:, 1], modes[:, 2].astype(int)
-    unit = (np.ones(rate.size), rate, anchor, degree)
+    rate, anchor = modes[:, 0], modes[:, 1]
+    unit = (np.ones(rate.size), rate, anchor)
     M = _pair_matrix(unit, _stack([unit, _CONST_ONE]), T)
     CM = (C[:, :, None] * M[None, :, :-1]).sum(axis=1)
     G = (CM[:, None, :] * C[None, :, :]).sum(axis=2)
-    at_zero = np.where(degree == 1, -anchor, 1.0) * np.exp(-rate * anchor)
     X = C[:n]
-    return G, (X * M[:, -1]).sum(axis=1), (X * at_zero).sum(axis=1)
+    return G, (X * M[:, -1]).sum(axis=1), (X * np.exp(-rate * anchor)).sum(axis=1)
 
 
 def _block_sums(G: np.ndarray):
@@ -384,12 +345,16 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
 
     Exponential-sum profiles with zero or constant drift (a sampled drift
     of zeros included) are integrated in closed form, finite or infinite
-    horizon: every agent's integrals are block sums of one Gram matrix over
-    the profile's shared modes (see _mode_gram). A profile holding a grid strategy is integrated by
-    composite Simpson on the grid's nodes (mean_variance_sampled), with
-    exponential-sum members sampled there. An exponential-sum profile under
-    any other sampled drift has no such grid and raises UnsupportedCase:
-    compute_equilibrium returns grid strategies for those drifts.
+    horizon: each product of two pure exponentials integrates to one expm1
+    (see _pair_matrix), and every agent's integrals are block sums of one
+    Gram matrix over the profile's shared modes (see _mode_gram). A profile
+    holding a grid strategy is integrated by composite Simpson on the grid's
+    nodes (mean_variance_sampled), with exponential-sum members sampled
+    there; that is exact for the risk-neutral line of
+    closed_form.single_agent_finite under zero or constant drift. An
+    exponential-sum profile under any other sampled drift has no such grid
+    and raises UnsupportedCase: compute_equilibrium returns grid strategies
+    for those drifts.
     """
     profile = list(profile)
     n = problem.n
@@ -513,14 +478,8 @@ def _slowest_rate(profile: Sequence[ExpSumStrategy]) -> float:
 
 def _tail_variance(strategy: ExpSumStrategy, t_end: float, sigma: float) -> float:
     """sigma^2 int_{t_end}^inf X^2, the variance a truncation at t_end drops."""
-    # X(t_end + u) as an exponential sum in u; a degree-1 term splits
-    c, r, a, d = _terms(strategy)
-    lead = c * np.exp(r * (t_end - a))
-    lin = d == 1
-    shifted = _stack([
-        (lead * np.where(lin, t_end - a, 1.0), r, np.zeros_like(a), 0 * d),
-        (lead[lin], r[lin], np.zeros_like(a[lin]), d[lin]),
-    ])
+    c, r, a = _terms(strategy)
+    shifted = (c * np.exp(r * (t_end - a)), r, np.zeros_like(a))  # X(t_end + u)
     return float(sigma**2 * _pair_matrix(shifted, shifted, None).sum())
 
 
@@ -641,18 +600,15 @@ def effective_liquidation_time(strategy: Strategy, fraction: float = 0.99) -> fl
     if strategy.horizon.is_finite:
         t_hi = strategy.horizon.T
     else:
-        # |X(t)| <= envelope(t) = sum_k |c_k (t-a_k)^{d_k} e^{r_k (t-a_k)}|,
-        # which is decreasing once every term is (t >= a_k + d_k/|r_k|)
+        # |X(t)| <= envelope(t) = sum_k |c_k| e^{r_k (t-a_k)}, which
+        # decreases: infinite-horizon rates are negative
         terms = list(zip(*_terms(strategy)))
 
         def envelope(t: float) -> float:
-            return sum(
-                abs(c) * abs(t - a) ** d * math.exp(r * (t - a))
-                for c, r, a, d in terms
-            )
+            return sum(abs(c) * math.exp(r * (t - a)) for c, r, a in terms)
 
-        slowest = max(r for _, r, _, _ in terms)
-        t_hi = max(a + d / abs(r) for _, r, a, d in terms) + 1.0 / abs(slowest)
+        slowest = max(r for _, r, _ in terms)
+        t_hi = max(a for _, _, a in terms) + 1.0 / abs(slowest)
         for _ in range(200):
             if envelope(t_hi) <= threshold:
                 break

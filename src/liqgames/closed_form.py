@@ -1,12 +1,11 @@
 """Closed-form Nash equilibria of the liquidation game.
 
-Every strategy here is an exponential sum whose rates come from two scalar
-quadratics: the "difference" quadratic alpha sigma^2 + gamma tau - lam tau^2
-with roots theta_plus/theta_minus, driving how individual inventories relax
-toward the average, and the "aggregate" quadratic whose roots
-rho_plus/rho_minus drive the average itself. Coefficients are pinned by the
-boundary conditions X_i(0) = x_i and X_i(T) = 0 (decay to zero for infinite
-horizons).
+Every exponential sum here takes its rates from two scalar quadratics: the
+"difference" quadratic alpha sigma^2 + gamma tau - lam tau^2 with roots
+theta_plus/theta_minus, driving how individual inventories relax toward the
+average, and the "aggregate" quadratic whose roots rho_plus/rho_minus drive
+the average itself. Coefficients are pinned by the boundary conditions
+X_i(0) = x_i and X_i(T) = 0 (decay to zero for infinite horizons).
 
 All coefficient formulas are arranged so that only non-positive quantities
 are exponentiated; see ExpSumStrategy for how anchors make that exact.
@@ -30,6 +29,7 @@ from .errors import (
 from .model import (
     AgentSpec,
     ExpSumStrategy,
+    GridStrategy,
     Horizon,
     MarketParams,
     SpectralData,
@@ -96,34 +96,32 @@ def _expm1_neg(x: float) -> float:
     return -math.expm1(x)
 
 
-def single_agent_finite(market: MarketParams, agent: AgentSpec, T: float) -> ExpSumStrategy:
+def single_agent_finite(
+    market: MarketParams, agent: AgentSpec, T: float
+) -> ExpSumStrategy | GridStrategy:
     """Optimal single-agent liquidation over [0, T].
 
-    For alpha > 0 this is x0 sinh(kappa (T-t)) / sinh(kappa T) with
-    kappa = sqrt(alpha sigma^2 / (2 lam)); alpha = 0 degenerates to the
-    linear schedule x0 (1 - t/T).
+    For alpha sigma^2 > 0 the ExpSumStrategy x0 sinh(kappa (T-t)) / sinh(kappa T),
+    kappa = sqrt(alpha sigma^2 / (2 lam)). alpha sigma^2 = 0 gives the linear
+    schedule x0 (1 - t/T) as a GridStrategy on 8 intervals: interpolating a
+    line is exact, and so are Simpson's moments under zero or constant drift.
     """
     _require_zero_drift(market)
     if T <= 0:
         raise InvalidParam("T", "horizon length must be > 0")
     x0 = agent.x0
-    horizon = Horizon.finite(T)
     as2 = agent.alpha * market.sigma**2
     if as2 == 0.0:
-        return ExpSumStrategy(
-            coefs=[x0, -x0 / T],
-            rates=[0.0, 0.0],
-            anchors=[0.0, 0.0],
-            degrees=[0, 1],
-            horizon=horizon,
-        )
+        grid = np.linspace(0.0, T, 9)
+        return GridStrategy(grid=grid, positions=x0 * (1.0 - grid / T),
+                            rates=np.full(grid.size, -x0 / T))
     kappa = math.sqrt(as2 / (2.0 * market.lam))
     denom = _expm1_neg(-2.0 * kappa * T)
     return ExpSumStrategy(
         coefs=[x0 / denom, -x0 * math.exp(-kappa * T) / denom],
         rates=[-kappa, kappa],
         anchors=[0.0, T],
-        horizon=horizon,
+        horizon=Horizon.finite(T),
     )
 
 

@@ -65,7 +65,8 @@ class DriftSpec:
     """Deterministic drift b(t) of the unaffected price.
 
     kind is one of "zero", "constant", "sampled". Sampled drifts are linearly
-    interpolated between a strictly increasing sample grid.
+    interpolated between a strictly increasing sample grid. The constant
+    value and every sample must be finite.
     """
 
     kind: str
@@ -76,6 +77,8 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "sampled"):
             raise InvalidParam("drift", f"unknown kind {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise InvalidParam("drift", "drift value must be finite")
         if self.kind == "sampled":
             if self.grid is None or self.values is None:
                 raise InvalidParam("drift", "sampled drift needs grid and values")
@@ -83,6 +86,8 @@ class DriftSpec:
             v = np.asarray(self.values, dtype=float)
             if g.ndim != 1 or g.shape != v.shape or g.size < 2:
                 raise InvalidParam("drift", "grid and values must be 1d, equal length >= 2")
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+                raise InvalidParam("drift", "sampled grid and values must be finite")
             if not np.all(np.diff(g) > 0):
                 raise InvalidParam("drift", "sample grid must be strictly increasing")
             object.__setattr__(self, "grid", _freeze(g))
@@ -341,14 +346,14 @@ def _in_domain(t, T: Optional[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExpSumStrategy:
-    """Inventory path X(t) = sum_k c_k (t - a_k)^{d_k} exp(r_k (t - a_k)).
+    """Inventory path X(t) = sum_k c_k exp(r_k (t - a_k)).
 
     Each term stores the anchor time a_k at which its coefficient is the
     term's value, so positive-rate terms (anchored at the horizon end) are
     never evaluated by exponentiating a positive quantity; that keeps the
-    representation exact for arbitrarily stiff rate constants. Degrees above
-    zero only occur for the risk-neutral single-agent limit, whose linear
-    path is the rate-zero double root of the mode equation.
+    representation exact for arbitrarily stiff rate constants. The closed
+    forms are all such sums, except the risk-neutral single-agent line,
+    a GridStrategy (closed_form.single_agent_finite).
 
     Finite-horizon strategies must end at zero inventory; infinite-horizon
     strategies must have strictly decaying terms. Evaluating before 0 or past
@@ -359,26 +364,18 @@ class ExpSumStrategy:
     rates: np.ndarray
     anchors: np.ndarray
     horizon: Horizon
-    degrees: np.ndarray = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefs, dtype=float))
         r = np.atleast_1d(np.asarray(self.rates, dtype=float))
         a = np.atleast_1d(np.asarray(self.anchors, dtype=float))
-        d = self.degrees
-        d = np.zeros_like(c, dtype=int) if d is None else np.atleast_1d(np.asarray(d, dtype=int))
-        if not (c.shape == r.shape == a.shape == d.shape):
-            raise InvalidParam("terms", "coefs, rates, anchors, degrees must align")
+        if c.ndim != 1 or not (c.shape == r.shape == a.shape):
+            raise InvalidParam("terms", "coefs, rates, anchors must be 1d and align")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r)) and np.all(np.isfinite(a))):
             raise InvalidParam("terms", "term data must be finite")
-        if np.any(d < 0) or np.any(d > 1):
-            raise InvalidParam("terms", "term degree must be 0 or 1")
         object.__setattr__(self, "coefs", _freeze(c))
         object.__setattr__(self, "rates", _freeze(r))
         object.__setattr__(self, "anchors", _freeze(a))
-        frozen_d = np.array(d, dtype=int, copy=True)
-        frozen_d.flags.writeable = False
-        object.__setattr__(self, "degrees", frozen_d)
         if not isinstance(self.horizon, Horizon):
             raise InvalidParam("horizon", "must be a Horizon")
         if self.horizon.is_finite:
@@ -392,15 +389,9 @@ class ExpSumStrategy:
     def _accumulate(self, t, order: int):
         t = _in_domain(t, self.horizon.T)
         out = np.zeros_like(t)
-        for c, r, a, d in zip(self.coefs, self.rates, self.anchors, self.degrees):
-            u = t - a
-            e = np.exp(r * u)
-            if order == 0:
-                out += c * e * (u if d == 1 else 1.0)
-            elif order == 1:
-                out += c * e * ((1.0 + r * u) if d == 1 else r)
-            else:
-                out += c * e * ((2.0 * r + r * r * u) if d == 1 else r * r)
+        for c, r, a in zip(self.coefs, self.rates, self.anchors):
+            e = np.exp(r * (t - a))
+            out += c * e * (1.0, r, r * r)[order]
         return out if out.ndim else float(out)
 
     def position(self, t):
@@ -427,7 +418,6 @@ class ExpSumStrategy:
             coefs=np.concatenate([self.coefs, other.coefs]),
             rates=np.concatenate([self.rates, other.rates]),
             anchors=np.concatenate([self.anchors, other.anchors]),
-            degrees=np.concatenate([self.degrees, other.degrees]),
             horizon=self.horizon,
         )
 

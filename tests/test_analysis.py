@@ -42,9 +42,9 @@ def two_agent_problem(sigma=1.0, s0=10.0):
 
 
 def linear_strategy(x, T):
-    # X(t) = x (1 - t/T): degree-1 rate-zero term pair
-    return ExpSumStrategy(coefs=[x, -x / T], rates=[0.0, 0.0], anchors=[0.0, 0.0],
-                          degrees=[0, 1], horizon=Horizon.finite(T))
+    # X(t) = x (1 - t/T) on 9 nodes: interpolating a line is exact
+    grid = np.linspace(0.0, T, 9)
+    return GridStrategy(grid=grid, positions=x * (1.0 - grid / T), rates=np.full(9, -x / T))
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +56,27 @@ def test_risk_neutral_single_agent_exact():
     # alpha = 0: E = x s0 - gamma x^2 / 2 - lam x^2 / T, Var = sigma^2 x^2 T / 3
     x, T, lam, gamma, s0 = 1.12, 2.0, 1.0, 1.0, 10.0
     market = MarketParams(lam=lam, gamma=gamma, sigma=1.0, s0=s0)
-    problem = validate_problem(market, [AgentSpec(x, 0.0)], Horizon.finite(T))
-    res = analysis.mean_variance(linear_strategy(x, T), [], problem, 0)
+    agent = AgentSpec(x, 0.0)
+    problem = validate_problem(market, [agent], Horizon.finite(T))
+    res = analysis.mean_variance(closed_form.single_agent_finite(market, agent, T), [], problem, 0)
     want_e = x * s0 - gamma * x**2 / 2.0 - lam * x**2 / T
     want_v = x**2 * T / 3.0
     assert abs(res.expected_revenue - want_e) < 1e-13 * abs(want_e)
     assert abs(res.variance - want_v) < 1e-13 * want_v
     assert res.mean_variance_value == res.expected_revenue
     assert res.cara_value == res.expected_revenue
+
+
+def test_risk_neutral_grid_solve_matches_closed_form():
+    # compute_equilibrium sends alpha sigma^2 = 0 to the grid solver
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agent = AgentSpec(1.12, 0.0)
+    problem = validate_problem(market, [agent], Horizon.finite(2.0))
+    (solved,), route = analysis.compute_equilibrium(problem)
+    assert route == "bvp"
+    ref = closed_form.single_agent_finite(market, agent, 2.0)
+    assert np.max(np.abs(solved.positions - ref.position(solved.grid))) <= 1e-12
+    assert np.max(np.abs(solved.rates - ref.rate(solved.grid))) <= 1e-12
 
 
 def test_frozen_two_agent_objective_values():
@@ -111,7 +124,7 @@ def test_sampled_route_matches_exact_route_n20():
 
 def _quad_pair(p, q, T):
     def f(t):
-        return math.prod(c * (t - a) ** d * math.exp(r * (t - a)) for c, r, a, d in (p, q))
+        return math.prod(c * math.exp(r * (t - a)) for c, r, a in (p, q))
 
     if T is None:
         return quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=400)[0]
@@ -122,47 +135,46 @@ def _quad_pair(p, q, T):
 
 def test_pair_matrix_matches_quad():
     def terms(*rows):
-        c, r, a, d = zip(*rows)
-        return np.array(c), np.array(r), np.array(a), np.array(d)
+        return tuple(np.array(x) for x in zip(*rows))
 
     for T in (2.0, 40.0):
         stiff = 250.0 / T
-        # (coef, rate, anchor, degree); growing terms anchored at T as strategies do
+        # (coef, rate, anchor); growing terms anchored at T as strategies do
         rows = terms(
-            (1.3, -0.1, 0.0, 0), (-0.8, -0.004, 0.0, 1), (0.6, 0.7, T, 0),
-            (0.9, 0.3, T, 1), (0.4, stiff, T, 0),
+            (1.3, -0.1, 0.0), (-0.8, -0.004, 0.0), (0.6, 0.7, T), (0.9, 0.3, T),
+            (0.4, stiff, T), (0.5, 1e-10 / T, T),
         )
         cols = terms(
-            (1.0, -0.05, 0.0, 0), (0.5, -2.0, 0.0, 1), (-1.1, -0.7, 0.0, 0),
-            (0.7, 0.3, T, 1), (1.5, stiff, T, 1), (0.3, -stiff, 0.0, 0), (2.0, 0.0, 0.0, 0),
+            (1.0, -0.05, 0.0), (0.5, -2.0, 0.0), (-1.1, -0.7, 0.0), (0.7, 0.3, T),
+            (1.5, stiff, T), (0.3, -stiff, 0.0), (2.0, 0.0, 0.0),
         )
         s = rows[1][:, None] + cols[1][None, :]
-        # the series (|s|T < 0.5), the recurrence, s = 0 exactly, s > 0 and s T = 500 all occur
-        assert np.any((s < 0) & (np.abs(s) * T < 0.5)) and np.any((s < 0) & (np.abs(s) * T > 0.5))
-        assert np.any(s == 0.0) and np.any(s > 0) and np.max(s) * T == pytest.approx(500.0)
+        # s = 0 exactly, |s| T = 1e-10, s < 0, s > 0 and s T = 500 all occur
+        assert np.any(s == 0.0) and np.any(s < 0) and np.any(s > 0)
+        assert np.max(s) * T == pytest.approx(500.0)
+        assert np.any(np.isclose(np.abs(s) * T, 1e-10, rtol=1e-6, atol=0.0))
         got = analysis._pair_matrix(rows, cols, T)
         want = np.array([[_quad_pair(p, q, T) for q in zip(*cols)] for p in zip(*rows)])
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
         # a zero coefficient is an exact zero even beside a term that would overflow
-        dead = terms((0.0, 800.0, 0.0, 0), (0.0, 800.0, 0.0, 1))
+        dead = terms((0.0, 800.0, 0.0))
         assert np.all(analysis._pair_matrix(dead, cols, T) == 0.0)
 
-    rows = terms((1.0, -0.1, 0.0, 0), (-0.7, -0.05, 0.0, 1), (0.5, -3.0, 0.5, 1))
-    cols = terms((1.2, -0.2, 0.0, 0), (0.3, -2.0, 0.0, 1), (0.8, -0.4, 1.0, 0))
+    rows = terms((1.0, -0.1, 0.0), (-0.7, -0.05, 0.0), (0.5, -3.0, 0.5))
+    cols = terms((1.2, -0.2, 0.0), (0.3, -2.0, 0.0), (0.8, -0.4, 1.0))
     got = analysis._pair_matrix(rows, cols, None)
     want = np.array([[_quad_pair(p, q, None) for q in zip(*cols)] for p in zip(*rows)])
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def _closed(terms, T):
-    """ExpSumStrategy of (coef, rate, anchor, degree) rows plus a rate-0.8 term anchored
+    """ExpSumStrategy of (coef, rate, anchor) rows plus a rate-0.8 term anchored
     at T that brings X(T) to zero."""
-    c, r, a, d = (np.array(x, dtype=float) for x in zip(*terms))
-    end = float(np.sum(c * (T - a) ** d * np.exp(r * (T - a))))
+    c, r, a = (np.array(x, dtype=float) for x in zip(*terms))
+    end = float(np.sum(c * np.exp(r * (T - a))))
     return ExpSumStrategy(coefs=np.append(c, -end), rates=np.append(r, 0.8),
-                          anchors=np.append(a, T), degrees=np.append(d, 0).astype(int),
-                          horizon=Horizon.finite(T))
+                          anchors=np.append(a, T), horizon=Horizon.finite(T))
 
 
 def _profile_case(name):
@@ -182,40 +194,34 @@ def _profile_case(name):
         agents = [AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.5)]
         first, second, _ = closed_form.two_player_infinite(market, *agents)
         return validate_problem(market, agents, Horizon.infinite()), [first, second]
-    if name == "risk_neutral_single":
-        # the degree-1 term's derivative adds the mode (rate 0, degree 0)
-        problem = validate_problem(drifting, [AgentSpec(1.12, 0.0)], Horizon.finite(2.0))
-        return problem, [linear_strategy(1.12, 2.0)]
     # hand-built: agent 1 puts two terms on one mode, agents 1 and 2 share the
     # (-0.5, 0) mode, agent 3's rate -0.5 sits at another anchor (a mode of its
     # own), the closing mode (0.8, T) is common and the rest are unshared
     T = 2.0
     profile = [
-        _closed([(0.7, -0.5, 0.0, 0), (0.5, -0.5, 0.0, 0), (0.2, -0.3, 0.0, 1)], T),
-        _closed([(1.0, -0.5, 0.0, 0), (0.4, -1.3, 0.0, 0)], T),
-        _closed([(1.5, -2.0, 0.0, 0), (-0.6, -0.5, 1.0, 0), (0.3, 0.0, 0.0, 1)], T),
+        _closed([(0.7, -0.5, 0.0), (0.5, -0.5, 0.0), (0.2, -0.3, 0.0)], T),
+        _closed([(1.0, -0.5, 0.0), (0.4, -1.3, 0.0)], T),
+        _closed([(1.5, -2.0, 0.0), (-0.6, -0.5, 1.0), (0.3, 0.0, 0.0)], T),
     ]
     agents = [AgentSpec(s.initial_position(), a) for s, a in zip(profile, (0.4, 1.1, 0.0))]
     return validate_problem(drifting, agents, Horizon.finite(T)), profile
 
 
 def _term_values(terms, t, derivative):
-    """X(t), or X'(t), of the (coefs, rates, anchors, degrees) terms c (t - a)^d e^{r (t - a)}."""
-    c, r, a, d = terms
-    u = t - a
-    factor = np.where(d == 1, 1.0 + r * u, r) if derivative else np.where(d == 1, u, 1.0)
-    return float(np.sum(c * np.exp(r * u) * factor))
+    """X(t), or X'(t), of the (coefs, rates, anchors) terms c e^{r (t - a)}."""
+    c, r, a = terms
+    return float(np.sum(c * np.exp(r * (t - a)) * (r if derivative else 1.0)))
 
 
 def _quad_integrals(profile, T):
     """Per agent, by quad: int X_i, int X_i S_i, int X_i' S_i, int X_i'^2, int X_i^2
     with S_i the sum of the others' rates; and each integral of |integrand|."""
     upper = math.inf if T is None else T
-    terms = [(s.coefs, s.rates, s.anchors, s.degrees) for s in profile]
+    terms = [(s.coefs, s.rates, s.anchors) for s in profile]
     values, scales = [], []
     for i, own in enumerate(terms):
         rest_terms = terms[:i] + terms[i + 1:]
-        others = [np.concatenate(x) for x in zip(*rest_terms)] if rest_terms else [np.zeros(0)] * 4
+        others = [np.concatenate(x) for x in zip(*rest_terms)] if rest_terms else [np.zeros(0)] * 3
 
         def x(t):
             return _term_values(own, t, False)
@@ -238,7 +244,7 @@ def _quad_integrals(profile, T):
 
 
 PROFILE_CASES = ["equal_alpha_finite_n20", "equal_alpha_infinite_n7", "het2inf",
-                 "risk_neutral_single", "hand_built"]
+                 "hand_built"]
 
 
 @pytest.mark.parametrize("name", PROFILE_CASES)
@@ -313,7 +319,7 @@ def test_quadratic_scaling_identity(c, x):
     # E to c (x s0) + c^2 (E_1 - x s0) and Var to c^2 Var_1
     market = MarketParams(lam=0.7, gamma=0.4, sigma=1.0, s0=5.0)
     problem = validate_problem(market, [AgentSpec(x, 1.3)], Horizon.finite(2.0))
-    base = linear_strategy(x, 2.0)
+    base = closed_form.single_agent_finite(market, problem.agents[0], 2.0)
     one = analysis.mean_variance(base, [], problem, 0)
     res = analysis.mean_variance(base.scaled(c), [], problem, 0)
     want_e = c * x * market.s0 + c**2 * (one.expected_revenue - x * market.s0)

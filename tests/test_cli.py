@@ -227,6 +227,27 @@ def test_config_errors_map_to_exit_1(tmp_path, problem_file):
                  "--probe-agent", "1", "--probe-time", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("drift", [
+    {"type": "constant", "value": float("nan")},
+    {"type": "constant", "value": float("inf")},
+    {"type": "sampled", "grid": [0.0, 2.0], "values": [0.1, float("-inf")]},
+], ids=["constant_nan", "constant_inf", "sampled_inf"])
+def test_non_finite_drift_is_a_config_error(tmp_path, drift):
+    # json writes and reads NaN and Infinity literals; validation must reject them
+    src = tmp_path / "drift.json"
+    src.write_text(json.dumps({
+        "market": {"lambda": 1.0, "gamma": 1.0, "sigma": 1.0, "s0": 10.0, "drift": drift},
+        "agents": [{"x0": 1.12, "alpha": 0.5}, {"x0": 2.06, "alpha": 1.5}],
+        "horizon": {"type": "finite", "T": 2.0},
+    }))
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 1
+    assert main(["scan", "--problem", str(src), "--out", str(out), "--param", "lambda",
+                 "--values", "0.5,1", "--probe-agent", "1", "--probe-time", "1"]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "eq.json").exists()
+
+
 def test_usage_errors_map_to_exit_1(tmp_path, problem_file, capsys):
     # argparse's own exit code 2 would read as a solver failure
     out = str(tmp_path / "x.csv")

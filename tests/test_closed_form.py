@@ -23,6 +23,7 @@ from liqgames.errors import (
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
+    GridStrategy,
     Horizon,
     MarketParams,
     system_matrix,
@@ -113,7 +114,8 @@ def test_single_agent_sinh_profile():
 def test_single_agent_risk_neutral_is_linear():
     market = MarketParams(lam=0.5, gamma=0.3, sigma=1.0, s0=0.0)
     s = closed_form.single_agent_finite(market, AgentSpec(-2.0, 0.0), 1.6)
-    t = np.linspace(0.0, 1.6, 9)
+    assert isinstance(s, GridStrategy) and s.n_steps == 8
+    t = np.linspace(0.0, 1.6, 33)
     assert np.allclose(s.position(t), -2.0 * (1.0 - t / 1.6), atol=1e-14)
     assert np.allclose(s.rate(t), 2.0 / 1.6, atol=1e-14)
 

@@ -68,6 +68,21 @@ def test_sampled_drift_interpolates():
         DriftSpec.sampled(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_drift_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidParam) as exc:
+        DriftSpec.constant(bad)
+    assert exc.value.field == "drift"
+    for grid, values in (([0.0, 1.0], [0.1, bad]), ([0.0, bad], [0.1, 0.2]),
+                         ([bad, 1.0], [0.1, 0.2])):
+        with pytest.raises(InvalidParam) as exc:
+            DriftSpec.sampled(grid, values)
+        assert exc.value.field == "drift"
+    # JSON's NaN and Infinity literals reach the same check
+    with pytest.raises(InvalidParam):
+        DriftSpec.from_dict({"type": "constant", "value": bad})
+
+
 def test_drift_dict_round_trip():
     for d in (DriftSpec.zero(), DriftSpec.constant(-0.3),
               DriftSpec.sampled([0.0, 3.0], [1.0, 2.0])):
@@ -198,20 +213,17 @@ def test_expsum_infinite_requires_decay():
                        anchors=np.array([0.0]), horizon=Horizon.infinite())
 
 
-def test_expsum_degree_one_terms():
-    # x(t) = (1 - t/2) is degree-1 with rate 0: coef -0.5 deg 1 plus const 1
-    hz = Horizon.finite(2.0)
-    s = ExpSumStrategy(
-        coefs=np.array([1.0, -0.5]),
-        rates=np.array([0.0, 0.0]),
-        anchors=np.array([0.0, 0.0]),
-        degrees=np.array([0, 1]),
-        horizon=hz,
-    )
-    t = np.linspace(0.0, 2.0, 9)
-    assert np.allclose(s.position(t), 1.0 - t / 2.0, atol=1e-15)
-    assert np.allclose(s.rate(t), -0.5, atol=1e-15)
-    assert np.allclose(s.accel(t), 0.0, atol=1e-15)
+def test_expsum_rejects_non_1d_terms():
+    # a 2-D term array would only fail later, inside position()
+    hz = Horizon.infinite()
+    with pytest.raises(InvalidParam):
+        ExpSumStrategy(coefs=[[1.0, 2.0]], rates=[[-1.0, -2.0]], anchors=[[0.0, 0.0]],
+                       horizon=hz)
+    with pytest.raises(InvalidParam):
+        ExpSumStrategy(coefs=[[1.0, 2.0]], rates=[-1.0, -2.0], anchors=[0.0, 0.0],
+                       horizon=hz)
+    one = ExpSumStrategy(coefs=1.0, rates=-1.0, anchors=0.0, horizon=hz)
+    assert one.position(1.0) == math.exp(-1.0)
 
 
 def test_expsum_scaled_plus():
