@@ -28,7 +28,6 @@ import numpy as np
 from . import bvp, closed_form
 from .errors import (
     GridMismatch,
-    HorizonMismatch,
     InvalidParam,
     LiquidationGameError,
     NeverReached,
@@ -42,6 +41,8 @@ from .model import (
     MarketParams,
     Problem,
     Strategy,
+    _check_horizon,
+    _mode_table,
     validate_problem,
 )
 
@@ -201,17 +202,6 @@ def _pair_matrix(rows, cols, T: Optional[float]) -> np.ndarray:
     return np.where(live, c1 * c2 * np.exp(np.where(live, expo, 0.0)) * integral, 0.0)
 
 
-def _terms(s: ExpSumStrategy):
-    return s.coefs, s.rates, s.anchors
-
-
-def _stack(term_lists):
-    return tuple(np.concatenate(parts) for parts in zip(*term_lists))
-
-
-_CONST_ONE = (np.ones(1), np.zeros(1), np.zeros(1))
-
-
 # ---------------------------------------------------------------------------
 # quadrature weights
 # ---------------------------------------------------------------------------
@@ -281,43 +271,25 @@ def _result_from_integrals(
     )
 
 
-def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
-    hz = strategy.horizon
-    if hz.is_finite != horizon.is_finite:
-        raise HorizonMismatch("strategy horizon does not match the problem")
-    if horizon.is_finite and abs(hz.T - horizon.T) > 1e-12 * max(1.0, horizon.T):
-        raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
-
-
 def _mode_gram(profile: Sequence[ExpSumStrategy], T: Optional[float]):
     """(G, int_x, x_start) of an exponential-sum profile.
 
     G[k, l] = int Z_k Z_l for Z = (X_1, ..., X_n, X_1', ..., X_n'),
-    int_x[i] = int X_i and x_start[i] = X_i(0). Each term is keyed by its
-    mode e^{r (t - a)}, and modes are shared only when rate and anchor are
-    exactly equal; X_i' has X_i's modes with coefficients c r. With C the
-    2n x m coefficients of Z over the m modes and M the exact pair integrals
-    of the unit modes, G = C M C^T from one pair matrix. Everything is built
+    int_x[i] = int X_i and x_start[i] = X_i(0). X has the coefficients of
+    the profile's mode table (see model._mode_table) and X' the same times
+    each mode's rate; with C the 2n x m coefficients of Z over the m modes
+    and M the exact pair integrals of the unit modes, and of each mode with
+    the constant 1, G = C M C^T from one pair matrix. Everything is built
     from elementwise products and numpy reductions, not BLAS, so equal rows
     of C give bit-equal results wherever they sit.
     """
-    n = len(profile)
-    c, r, a = _stack([_terms(s) for s in profile])
-    agent = np.repeat(np.arange(n), [s.coefs.size for s in profile])
-    c, r, a = _stack([(c, r, a), (c * r, r, a)])
-    row = np.concatenate([agent, agent + n])
-    live = c != 0.0  # a zero term adds nothing, so its mode is not integrated
-    modes, which = np.unique(
-        np.column_stack([r[live], a[live]]), axis=0, return_inverse=True
-    )
-    C = np.zeros((2 * n, modes.shape[0]))
-    np.add.at(C, (row[live], which.reshape(-1)), c[live])
-    rate, anchor = modes[:, 0], modes[:, 1]
-    unit = (np.ones(rate.size), rate, anchor)
-    M = _pair_matrix(unit, _stack([unit, _CONST_ONE]), T)
+    X, rate, anchor = _mode_table(profile)
+    C = np.vstack([X, X * rate])
+    m = rate.size
+    unit = (np.ones(m), rate, anchor)
+    M = _pair_matrix(unit, (np.ones(m + 1), np.append(rate, 0.0), np.append(anchor, 0.0)), T)
     CM = (C[:, :, None] * M[None, :, :-1]).sum(axis=1)
     G = (CM[:, None, :] * C[None, :, :]).sum(axis=2)
-    X = C[:n]
     return G, (X * M[:, -1]).sum(axis=1), (X * np.exp(-rate * anchor)).sum(axis=1)
 
 
@@ -476,11 +448,13 @@ def _slowest_rate(profile: Sequence[ExpSumStrategy]) -> float:
     return max(float(np.max(s.rates)) for s in profile)
 
 
-def _tail_variance(strategy: ExpSumStrategy, t_end: float, sigma: float) -> float:
-    """sigma^2 int_{t_end}^inf X^2, the variance a truncation at t_end drops."""
-    c, r, a = _terms(strategy)
-    shifted = (c * np.exp(r * (t_end - a)), r, np.zeros_like(a))  # X(t_end + u)
-    return float(sigma**2 * _pair_matrix(shifted, shifted, None).sum())
+def _tail_variances(profile: Sequence[ExpSumStrategy], t_end: float, sigma: float) -> np.ndarray:
+    """sigma^2 int_{t_end}^inf X_i^2 of every agent: what a truncation at t_end drops."""
+    C, r, a = _mode_table(profile)
+    D = C * np.exp(r * (t_end - a))  # X_i(t_end + u) over the modes e^{r u}
+    unit = (np.ones(r.size), r, np.zeros(r.size))
+    DM = (D[:, :, None] * _pair_matrix(unit, unit, None)[None]).sum(axis=1)
+    return sigma**2 * (DM * D).sum(axis=1)
 
 
 def _ito_sums(positions: np.ndarray, dt: float, paths: int, seed: int) -> np.ndarray:
@@ -536,7 +510,7 @@ def monte_carlo_revenues(
     else:
         trunc = 40.0 / abs(_slowest_rate(profile))
         t_end = trunc
-        tails = [_tail_variance(s, t_end, sigma) for s in profile]
+        tails = _tail_variances(profile, t_end, sigma).tolist()
     t = np.linspace(0.0, t_end, config.time_steps + 1)
     X = np.array([s.position(t) for s in profile], dtype=float)
     stochastic = _ito_sums(X[:, :-1], t[1] - t[0], config.paths, config.seed)
@@ -573,8 +547,8 @@ def monte_carlo_revenues(
 
 def classify_role(market: MarketParams, alpha: float) -> RoleClassification:
     """Classify an inventory-less agent by margin = alpha sigma^2 lam - 2 gamma^2."""
-    if alpha < 0:
-        raise InvalidParam("alpha", "risk aversion must be >= 0")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParam("alpha", "risk aversion must be a finite number >= 0")
     lhs = alpha * market.sigma**2 * market.lam
     rhs = 2.0 * market.gamma**2
     margin = lhs - rhs
@@ -600,17 +574,12 @@ def effective_liquidation_time(strategy: Strategy, fraction: float = 0.99) -> fl
     if strategy.horizon.is_finite:
         t_hi = strategy.horizon.T
     else:
-        # |X(t)| <= envelope(t) = sum_k |c_k| e^{r_k (t-a_k)}, which
-        # decreases: infinite-horizon rates are negative
-        terms = list(zip(*_terms(strategy)))
-
-        def envelope(t: float) -> float:
-            return sum(abs(c) * math.exp(r * (t - a)) for c, r, a in terms)
-
-        slowest = max(r for _, r, _ in terms)
-        t_hi = max(a for _, _, a in terms) + 1.0 / abs(slowest)
+        # |X(t)| <= sum_k |c_k| e^{r_k (t-a_k)}, which decreases:
+        # infinite-horizon rates are negative
+        c, r, a = strategy.coefs, strategy.rates, strategy.anchors
+        t_hi = float(np.max(a)) + 1.0 / abs(float(np.max(r)))
         for _ in range(200):
-            if envelope(t_hi) <= threshold:
+            if float(np.sum(np.abs(c) * np.exp(r * (t_hi - a)))) <= threshold:
                 break
             t_hi *= 2.0
         else:

@@ -43,12 +43,13 @@ eigenvectors can be poorly conditioned for nearby risk aversions. Infinite
 horizons are solved in closed form (see closed_form).
 
 residual_report checks grid profiles against this same interval map; the map
-itself is checked against closed forms and manufactured solutions.
+itself is checked against closed forms and manufactured solutions. Profiles
+of exponential sums are checked mode by mode, on no grid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +58,10 @@ from scipy.linalg.lapack import dgbsv
 # Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
-from .errors import GridMismatch, HorizonMismatch, InvalidParam, SingularShootingMatrix
-from .model import DriftSpec, GridStrategy, Problem, system_matrix
+from .errors import (GridMismatch, HorizonMismatch, InvalidParam, SingularShootingMatrix,
+                     UnsupportedCase)
+from .model import (DriftSpec, ExpSumStrategy, GridStrategy, Problem, _check_horizon, _mode_table,
+                    system_matrix)
 
 __all__ = [
     "BvpSolution",
@@ -92,9 +95,10 @@ class ResidualReport:
     relative = max_residual / scale is dimensionless. For a grid profile,
     max_residual sums the one-step defects over the n_probes = N intervals
     and scale is the largest entry of Z_{k+1}, E Z_k or s_k (see
-    residual_report); for exponential sums they are the largest
-    Euler-Lagrange defect and term over the probe times. Boundary errors
-    are absolute.
+    residual_report); for exponential sums, max_residual bounds the
+    Euler-Lagrange defect over the whole horizon from its n_probes modes,
+    and scale bounds each of the equation's five terms the same way.
+    Boundary errors are absolute.
     """
 
     max_residual: float
@@ -105,14 +109,7 @@ class ResidualReport:
     n_probes: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "scale": self.scale,
-            "relative": self.relative,
-            "boundary_start": self.boundary_start,
-            "boundary_end": self.boundary_end,
-            "n_probes": self.n_probes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,9 +311,7 @@ def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
 # ---------------------------------------------------------------------------
 
 
-def residual_report(
-    strategies: Sequence, problem: Problem, n_probes: int = 100
-) -> ResidualReport:
+def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     """Optimality residuals of a profile.
 
     A profile holding grid strategies is checked on their shared grid of N
@@ -328,15 +323,28 @@ def residual_report(
     constant turns into a bound on the profile's error. The largest single
     defect would read a forcing error at its O(dt) size per step.
 
-    A profile of exponential sums is checked analytically at n_probes
-    interior times against the Euler-Lagrange equation
+    A profile of exponential sums is checked mode by mode against the
+    Euler-Lagrange equation
         alpha_i sigma^2 X_i - 2 lam X_i'' - b - gamma sum_{j!=i} X_j'
         - lam sum_{j!=i} X_j''.
+    A mode e^{r (t - a)} with coefficients c over the agents (see
+    model._mode_table) leaves agent i the coefficient
+        R_i = (alpha_i sigma^2 - 2 lam r^2) c_i - (gamma r + lam r^2) (sum_j c_j - c_i);
+    the rate-0 modes and -b of a constant drift form one constant mode.
+    max_residual, over agents, is the largest sum over modes of |R_i| times
+    the mode's peak on the horizon (at t = 0 or T), so it bounds the defect
+    at every time; scale is that sum for each of the five terms alone, and
+    n_probes counts the modes. The boundary values are the modes' sums at 0
+    and T (no end on an infinite horizon, where every mode decays). A
+    sampled drift that is not zero raises UnsupportedCase.
     """
     strategies = list(strategies)
     n = problem.n
     if len(strategies) != n:
         raise InvalidParam("strategies", "one strategy per agent required")
+    for s in strategies:
+        if isinstance(s, ExpSumStrategy):  # grid members: the span check below
+            _check_horizon(s, problem.horizon)
     grids = [s for s in strategies if isinstance(s, GridStrategy)]
     if grids:
         t = grids[0].grid
@@ -359,37 +367,35 @@ def residual_report(
         end_err = float(np.max(np.abs(Z[-1, :n])))
         n_probes = t.size - 1
     else:
-        market = problem.market
-        if problem.horizon.is_finite:
-            t_end = problem.T
-        else:
-            slowest = max(float(np.max(s.rates)) for s in strategies)
-            t_end = np.log(1e6) / abs(slowest)
-        t = np.linspace(0.0, t_end, n_probes + 2)[1:-1]
-        pos = np.array([s.position(t) for s in strategies])
-        d1 = np.array([s.rate(t) for s in strategies])
-        d2 = np.array([s.accel(t) for s in strategies])
-        b = np.asarray(market.drift(t), dtype=float) * np.ones_like(t)
-        sig2 = market.sigma**2
-        lam, gamma = market.lam, market.gamma
+        market, T, drift = problem.market, problem.T, problem.market.drift
+        # a sampled drift of zeros is the zero drift the closed forms solve
+        if drift.kind == "sampled" and not drift.is_zero:
+            raise UnsupportedCase("exponential-sum profiles need a zero or constant drift")
+        b = drift.value if drift.kind == "constant" else 0.0
+        C, r, a = _mode_table(strategies)
+        flat = r == 0.0  # e^{0 (t - a)} = 1 whatever the anchor
+        if b != 0.0 or np.any(flat):
+            C = np.hstack([C[:, ~flat], C[:, flat].sum(axis=1, keepdims=True)])
+            r, a = np.append(r[~flat], 0.0), np.append(a[~flat], 0.0)
+        drift_term = np.broadcast_to(np.where(r == 0.0, -b, 0.0), C.shape)
         # one row per agent; the others' sums are the totals less the own row
+        others = C.sum(axis=0) - C
         terms = (
-            problem.alphas[:, None] * sig2 * pos,
-            -2.0 * lam * d2,
-            -b,
-            -gamma * (d1.sum(axis=0) - d1),
-            -lam * (d2.sum(axis=0) - d2),
+            problem.alphas[:, None] * market.sigma**2 * C,
+            -2.0 * market.lam * r**2 * C,
+            drift_term,
+            -market.gamma * r * others,
+            -market.lam * r**2 * others,
         )
-        res = sum(terms)
-        max_res = float(np.max(np.abs(res)))
-        scale = float(max(np.max(np.abs(term)) for term in terms))
-        if problem.horizon.is_finite:
-            end_err = max(abs(float(s.position(problem.T))) for s in strategies)
-        else:
-            end_err = max(abs(float(s.position(t[-1]))) for s in strategies)
-        start_err = max(
-            abs(float(s.position(0.0)) - problem.agents[i].x0) for i, s in enumerate(strategies)
-        )
+        at_start = np.exp(-r * a)
+        at_end = np.zeros_like(r) if T is None else np.exp(r * (T - a))
+        peak = np.maximum(at_start, at_end)
+        max_res, *bounds = (float(np.max((np.abs(x) * peak).sum(axis=1)))
+                            for x in (sum(terms),) + terms)
+        scale = max(bounds)
+        start_err = float(np.max(np.abs((C * at_start).sum(axis=1) - problem.x0)))
+        end_err = float(np.max(np.abs((C * at_end).sum(axis=1))))
+        n_probes = r.size
     return ResidualReport(
         max_residual=max_res,
         scale=scale,

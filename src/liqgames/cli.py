@@ -151,7 +151,7 @@ def _cmd_equilibrium(args) -> int:
 
     # written only now, so a run that raises leaves no partial output
     header = ["t"] + [f"X_{i+1}" for i in range(n)] + [f"rate_{i+1}" for i in range(n)]
-    table = np.column_stack([t, pos.T, rates.T])
+    table = np.hstack([t[:, None], pos.T, rates.T])
     row_fmt = ",".join(["%.17g"] * table.shape[1])  # same digits as _fmt
     lines = [",".join(header)]
     # one row at a time: table.tolist() would hold every cell as a Python float

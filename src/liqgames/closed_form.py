@@ -125,7 +125,7 @@ def single_agent_finite(
     )
 
 
-def _equal_alpha_terms(spec: SpectralData, x_i: float, x_bar: float, T: float):
+def _equal_alpha_term_data(spec: SpectralData, x_i: float, x_bar: float, T: float):
     """Anchored term data for one agent of the equal-alpha equilibrium."""
     dev = x_bar - x_i
     denom_t = _expm1_neg(-2.0 * spec.theta_hat * T)
@@ -170,7 +170,7 @@ def equal_alpha_finite(
     horizon = Horizon.finite(T)
     out = []
     for a in agents:
-        coefs, rates, anchors = _equal_alpha_terms(spec, a.x0, x_bar, T)
+        coefs, rates, anchors = _equal_alpha_term_data(spec, a.x0, x_bar, T)
         out.append(
             ExpSumStrategy(coefs=coefs, rates=rates, anchors=anchors, horizon=horizon)
         )
@@ -358,7 +358,7 @@ def two_player_infinite(
     tau1, tau2 = negative_quartic_roots(market, agent1.alpha, agent2.alpha)
     w1 = _mode_vector(market, agent1.alpha, agent2.alpha, tau1)
     w2 = _mode_vector(market, agent1.alpha, agent2.alpha, tau2)
-    W = np.column_stack([w1, w2])
+    W = np.stack([w1, w2], axis=1)
     x0 = np.array([agent1.x0, agent2.x0])
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > 1e12:

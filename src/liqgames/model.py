@@ -356,8 +356,9 @@ class ExpSumStrategy:
     a GridStrategy (closed_form.single_agent_finite).
 
     Finite-horizon strategies must end at zero inventory; infinite-horizon
-    strategies must have strictly decaying terms. Evaluating before 0 or past
-    a finite T raises OutOfDomain instead of extrapolating.
+    strategies must have strictly decaying terms. position and rate evaluate
+    X and X' (checks and integrals over a profile read _mode_table instead);
+    before 0 or past a finite T they raise OutOfDomain, not extrapolate.
     """
 
     coefs: np.ndarray
@@ -386,24 +387,20 @@ class ExpSumStrategy:
             if np.any(self.rates >= 0):
                 raise InvalidParam("rates", "infinite-horizon terms must decay strictly")
 
-    def _accumulate(self, t, order: int):
+    def _accumulate(self, t, derivative: bool):
         t = _in_domain(t, self.horizon.T)
         out = np.zeros_like(t)
         for c, r, a in zip(self.coefs, self.rates, self.anchors):
             e = np.exp(r * (t - a))
-            out += c * e * (1.0, r, r * r)[order]
+            out += c * e * (r if derivative else 1.0)
         return out if out.ndim else float(out)
 
     def position(self, t):
-        return self._accumulate(t, 0)
+        return self._accumulate(t, False)
 
     def rate(self, t):
         """Trading rate dX/dt."""
-        return self._accumulate(t, 1)
-
-    def accel(self, t):
-        """Second derivative of the inventory path."""
-        return self._accumulate(t, 2)
+        return self._accumulate(t, True)
 
     def initial_position(self) -> float:
         return float(self.position(0.0))
@@ -420,6 +417,33 @@ class ExpSumStrategy:
             anchors=np.concatenate([self.anchors, other.anchors]),
             horizon=self.horizon,
         )
+
+
+def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
+    """HorizonMismatch unless strategy lives on horizon (finite T to 1e-12)."""
+    hz = strategy.horizon
+    if hz.is_finite != horizon.is_finite:
+        raise HorizonMismatch("strategy horizon does not match the problem")
+    if horizon.is_finite and abs(hz.T - horizon.T) > 1e-12 * max(1.0, horizon.T):
+        raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
+
+
+def _mode_table(profile: Sequence[ExpSumStrategy]):
+    """(C, rates, anchors) of an exponential-sum profile over its distinct modes.
+
+    C[i, k] is agent i's coefficient of the mode e^{rates[k] (t - anchors[k])}.
+    Terms share a mode only when rate and anchor are exactly equal, and a zero
+    coefficient adds no mode. Modes are sorted by (rate, anchor); an agent
+    with one term per mode has exactly that term's coefficient in C.
+    """
+    c, r, a = (np.concatenate([getattr(s, f) for s in profile])
+               for f in ("coefs", "rates", "anchors"))
+    agent = np.repeat(np.arange(len(profile)), [s.coefs.size for s in profile])
+    live = c != 0.0
+    modes, which = np.unique(np.stack([r[live], a[live]], axis=1), axis=0, return_inverse=True)
+    C = np.zeros((len(profile), modes.shape[0]))
+    np.add.at(C, (agent[live], which.reshape(-1)), c[live])
+    return C, modes[:, 0], modes[:, 1]
 
 
 @dataclass(frozen=True, eq=False)

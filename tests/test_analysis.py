@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from liqgames import analysis, closed_form
+from liqgames import analysis, bvp, closed_form
 from liqgames.errors import (
     GridMismatch,
     HorizonMismatch,
@@ -341,6 +341,8 @@ def test_exp_sum_profile_under_sampled_drift_is_unsupported():
         analysis.mean_variance_profile(strats, problem)
     with pytest.raises(UnsupportedCase):
         analysis.mean_variance(strats[0], [strats[1]], problem, 0)
+    with pytest.raises(UnsupportedCase):
+        bvp.residual_report(strats, problem)
     solved, route = analysis.compute_equilibrium(problem, grid_steps=64)
     assert route == "bvp"
     assert len(analysis.mean_variance_profile(solved, problem)) == 2
@@ -486,6 +488,16 @@ def test_monte_carlo_infinite_horizon_truncation():
     assert abs(mc.mean - res.expected_revenue) <= 3.0 * mc.mean_se
 
 
+@pytest.mark.parametrize("name", ["equal_alpha_infinite_n7", "het2inf"])
+def test_tail_variances_match_quad(name):
+    problem, profile = _profile_case(name)
+    sigma, t_end = problem.market.sigma, 0.7
+    got = analysis._tail_variances(profile, t_end, sigma)
+    want = [sigma**2 * quad(lambda t: s.position(t) ** 2, t_end, math.inf,
+                            epsabs=0.0, epsrel=1e-13, limit=400)[0] for s in profile]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def test_monte_carlo_config_validation():
     with pytest.raises(InvalidParam):
         analysis.MonteCarloConfig(paths=10)
@@ -519,6 +531,14 @@ def test_classification_boundary_and_edges():
     assert frictionless.role == "liquidity_provision"
     with pytest.raises(InvalidParam):
         analysis.classify_role(MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=0.0), -0.1)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_classification_rejects_non_finite_alpha(alpha):
+    market = MarketParams(lam=0.15, gamma=0.16, sigma=1.0, s0=0.0)
+    with pytest.raises(InvalidParam) as info:
+        analysis.classify_role(market, alpha)
+    assert info.value.field == "alpha"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
+    ExpSumStrategy,
     GridStrategy,
     Horizon,
     MarketParams,
@@ -359,40 +360,63 @@ def test_grid_residual_reads_every_interval():
 def test_residual_report_counts_probes():
     problem = make_problem()
     strategies = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
-    report = bvp.residual_report(strategies, problem, n_probes=73)
-    assert report.n_probes == 73
+    report = bvp.residual_report(strategies, problem)
+    assert report.n_probes == 4  # theta and rho modes, each anchored at 0 and at T
     assert report.relative < 1e-12
     d = report.to_dict()
     assert {"max_residual", "scale", "relative"} <= set(d)
 
 
-def per_agent_residual(strategies, problem, t):
-    """Every report field of the Euler-Lagrange check, one agent at a time."""
+def per_mode_residual(strategies, problem):
+    """Every report field of the mode-by-mode check, one agent and mode at a time.
+
+    Modes are taken in the report's order: by (rate, anchor), then the
+    constant mode, which holds every rate-0 term and the drift.
+    """
     m = problem.market
-    pos = np.array([s.position(t) for s in strategies])
-    d1 = np.array([s.rate(t) for s in strategies])
-    d2 = np.array([s.accel(t) for s in strategies])
-    b = np.asarray(m.drift(t), dtype=float) * np.ones_like(t)
-    max_res = scale = 0.0
+    n, T = problem.n, problem.T
+    b = m.drift.value if m.drift.kind == "constant" else 0.0
+    coefs = {}
+    for i, s in enumerate(strategies):
+        for c, r, a in zip(s.coefs, s.rates, s.anchors):
+            if c != 0.0:
+                key = (math.inf, 0.0) if r == 0.0 else (float(r), float(a))
+                coefs.setdefault(key, [0.0] * n)[i] += float(c)
+    if b != 0.0:
+        coefs.setdefault((math.inf, 0.0), [0.0] * n)
+    modes = sorted(coefs)
+    max_res = scale = start_err = end_err = 0.0
     for i, agent in enumerate(problem.agents):
-        terms = (
-            agent.alpha * m.sigma**2 * pos[i],
-            -2.0 * m.lam * d2[i],
-            -b,
-            -m.gamma * (d1.sum(axis=0) - d1[i]),
-            -m.lam * (d2.sum(axis=0) - d2[i]),
-        )
-        max_res = max(max_res, float(np.max(np.abs(sum(terms)))))
-        scale = max(scale, float(max(np.max(np.abs(term)) for term in terms)))
-    t_end = problem.T if problem.horizon.is_finite else t[-1]
+        res, parts, x_start, x_end = 0.0, [0.0] * 5, 0.0, 0.0
+        for key in modes:
+            r, a = (0.0, 0.0) if key[0] == math.inf else key
+            c = coefs[key][i]
+            others = sum(coefs[key]) - c
+            terms = (
+                agent.alpha * m.sigma**2 * c,
+                -2.0 * m.lam * (r * r) * c,
+                -b if r == 0.0 else 0.0,
+                -m.gamma * r * others,
+                -m.lam * (r * r) * others,
+            )
+            start = float(np.exp(-r * a))
+            end = 0.0 if T is None else float(np.exp(r * (T - a)))
+            peak = max(start, end)
+            res += abs(sum(terms)) * peak
+            parts = [p + abs(term) * peak for p, term in zip(parts, terms)]
+            x_start += c * start
+            x_end += c * end
+        max_res = max(max_res, res)
+        scale = max([scale] + parts)
+        start_err = max(start_err, abs(x_start - agent.x0))
+        end_err = max(end_err, abs(x_end))
     return {
         "max_residual": max_res,
         "scale": scale,
         "relative": max_res / scale,
-        "boundary_start": max(abs(float(s.position(0.0)) - a.x0)
-                              for s, a in zip(strategies, problem.agents)),
-        "boundary_end": max(abs(float(s.position(t_end))) for s in strategies),
-        "n_probes": t.size,
+        "boundary_start": start_err,
+        "boundary_end": end_err,
+        "n_probes": len(modes),
     }
 
 
@@ -403,7 +427,6 @@ def test_exp_sum_residual_equals_per_agent_reference(case):
         agents = [AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.5)]
         problem = validate_problem(market, agents, Horizon.infinite())
         strategies = list(closed_form.two_player_infinite(market, *agents)[:2])
-        t_end = np.log(1e6) / abs(max(float(np.max(s.rates)) for s in strategies))
     else:
         agents = [AgentSpec(x, 0.7) for x in np.linspace(-1.0, 3.0, 7)]
         drifting = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0,
@@ -411,12 +434,42 @@ def test_exp_sum_residual_equals_per_agent_reference(case):
         problem = validate_problem(drifting, agents, Horizon.finite(1.5))
         # the zero-drift equilibrium, so the drift leaves a real residual
         strategies = closed_form.equal_alpha_finite(market, agents, 1.5)
-        t_end = 1.5
-    report = bvp.residual_report(strategies, problem, n_probes=57).to_dict()
-    want = per_agent_residual(strategies, problem, np.linspace(0.0, t_end, 59)[1:-1])
+    report = bvp.residual_report(strategies, problem).to_dict()
+    want = per_mode_residual(strategies, problem)
     assert report["max_residual"] > 0.0
     for field, value in want.items():
         assert report[field] == value, field
+
+
+def test_exp_sum_residual_sees_a_fast_transient():
+    # a defect that has decayed by t = 1e-3: the modes see it at any rate
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    agents = [AgentSpec(1.0, 0.7), AgentSpec(2.0, 0.7)]
+    problem = validate_problem(market, agents, Horizon.finite(2.0))
+    strategies = closed_form.equal_alpha_finite(market, agents, 2.0)
+    eps = 0.5
+    transient = ExpSumStrategy(coefs=[eps, -eps], rates=[-1e4, -2e4], anchors=[0.0, 0.0],
+                               horizon=Horizon.finite(2.0))
+    strategies[0] = strategies[0].plus(transient)
+    report = bvp.residual_report(strategies, problem)
+    assert report.relative > 1e-6
+    # the boundary values are right: only the residual can see the defect
+    assert max(report.boundary_start, report.boundary_end) <= 1e-12
+
+
+def test_residual_report_checks_the_strategy_horizon():
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    agents = [AgentSpec(1.0, 0.7), AgentSpec(2.0, 0.7)]
+    finite = validate_problem(market, agents, Horizon.finite(2.0))
+    infinite_strategies = closed_form.equal_alpha_infinite(market, agents)
+    with pytest.raises(HorizonMismatch):
+        bvp.residual_report(infinite_strategies, finite)
+    with pytest.raises(HorizonMismatch):
+        bvp.residual_report(closed_form.equal_alpha_finite(market, agents, 2.5), finite)
+    # an exponential-sum member of a grid profile is checked too
+    grid = solve(finite, 64).strategies
+    with pytest.raises(HorizonMismatch):
+        bvp.residual_report([grid[0], infinite_strategies[1]], finite)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +533,7 @@ def test_two_player_infinite_residual_and_boundaries():
     strategies = closed_form.two_player_infinite(market, agents[0], agents[1])[:2]
     report = bvp.residual_report(strategies, problem)
     assert report.relative < 1e-12
+    assert report.boundary_end == 0.0 and report.n_probes == 2  # two modes, both decaying
     for s, a in zip(strategies, agents):
         assert s.position(0.0) == pytest.approx(a.x0, abs=1e-12)
 

@@ -419,6 +419,14 @@ def test_classify_prints_role(capsys):
     assert out["margin"] < 0
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_classify_rejects_non_finite_alpha(alpha, capsys):
+    assert main(["classify", "--lam", "0.15", "--gamma", "0.16",
+                 "--sigma", "1.0", "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha" in captured.err
+
+
 def test_console_script_entry_point(tmp_path):
     res = subprocess.run(
         [sys.executable, "-c",

@@ -186,7 +186,6 @@ def test_expsum_evaluates_terms():
     expect = np.exp(-t) - math.exp(-3.0)
     assert np.allclose(s.position(t), expect, rtol=0, atol=1e-15)
     assert np.allclose(s.rate(t), -np.exp(-t), rtol=0, atol=1e-15)
-    assert np.allclose(s.accel(t), np.exp(-t), rtol=0, atol=1e-15)
 
 
 def test_expsum_derivatives_match_finite_differences():
@@ -194,9 +193,7 @@ def test_expsum_derivatives_match_finite_differences():
     h = 1e-6
     for t in (0.3, 1.1, 2.4):
         fd_rate = (s.position(t + h) - s.position(t - h)) / (2 * h)
-        fd_acc = (s.rate(t + h) - s.rate(t - h)) / (2 * h)
         assert s.rate(t) == pytest.approx(fd_rate, rel=1e-8)
-        assert s.accel(t) == pytest.approx(fd_acc, rel=1e-8)
 
 
 def test_expsum_requires_terminal_zero():
@@ -242,7 +239,7 @@ def test_strategies_raise_out_of_domain():
     expsum = make_expsum()  # T = 3
     g = np.linspace(0.0, 3.0, 33)
     grid = GridStrategy(grid=g, positions=g * (3.0 - g), rates=3.0 - 2.0 * g)
-    calls = [expsum.position, expsum.rate, expsum.accel, grid.position, grid.rate]
+    calls = [expsum.position, expsum.rate, grid.position, grid.rate]
     for f in calls:
         assert np.all(np.isfinite(f(np.array([0.0, 1.5, 3.0]))))
         for bad in (3.5, -0.1, np.array([1.0, 3.0 + 1e-9]), np.array([-1e-9, 1.0])):
