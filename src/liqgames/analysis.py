@@ -26,23 +26,20 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import bvp, closed_form
-from .errors import (
-    GridMismatch,
-    InvalidParam,
-    LiquidationGameError,
-    NeverReached,
-    UnsupportedCase,
-)
+from .errors import GridMismatch, InvalidParam, LiquidationGameError, NeverReached
 from .model import (
     AgentSpec,
     ExpSumStrategy,
-    GridStrategy,
     Horizon,
     MarketParams,
     Problem,
     Strategy,
-    _check_horizon,
+    _check_profile,
+    _decay_time,
+    _exp_sum_drift,
     _mode_table,
+    _sample_profile,
+    _uniform,
     validate_problem,
 )
 
@@ -326,24 +323,18 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
     closed_form.single_agent_finite under zero or constant drift. An
     exponential-sum profile under any other sampled drift has no such grid
     and raises UnsupportedCase: compute_equilibrium returns grid strategies
-    for those drifts.
+    for those drifts. Before any of that, the profile is checked as by every
+    whole-profile function (see model._check_profile): InvalidParam unless
+    it holds one strategy per agent, HorizonMismatch for any member off the
+    problem's horizon (a grid whose last node is not T included),
+    GridMismatch for grid members on different grids.
     """
     profile = list(profile)
-    n = problem.n
-    if len(profile) != n:
-        raise InvalidParam("profile", f"expected {n} strategies, got {len(profile)}")
-    for s in profile:
-        _check_horizon(s, problem.horizon)
-
-    drift = problem.market.drift
-    grids = [s for s in profile if isinstance(s, GridStrategy)]
-    if not grids:
-        # a sampled drift of zeros is the zero drift the closed forms solve
-        if drift.kind == "sampled" and not drift.is_zero:
-            raise UnsupportedCase("exponential-sum profiles need a zero or constant drift")
+    t = _check_profile(profile, problem)
+    if t is None:
+        b0 = _exp_sum_drift(problem)
         G, int_x, x_start = _mode_gram(profile, problem.T)
         pos_other, rate_other, rate_sq, pos_sq = _block_sums(G)
-        b0 = drift(0.0) if drift.kind == "constant" else 0.0
         return [
             _result_from_integrals(
                 problem,
@@ -355,23 +346,9 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
                 float(rate_sq[i]),
                 float(pos_sq[i]),
             )
-            for i in range(n)
+            for i in range(problem.n)
         ]
-
-    t = grids[0].grid
-    for s in grids[1:]:
-        if s.grid.shape != t.shape or not np.array_equal(s.grid, t):
-            raise GridMismatch("grid strategies must share one grid")
-    pos = np.empty((n, t.size))
-    rate = np.empty_like(pos)
-    for k, s in enumerate(profile):
-        if isinstance(s, GridStrategy):
-            pos[k] = s.positions
-            rate[k] = s.rates
-        else:
-            pos[k] = s.position(t)
-            rate[k] = s.rate(t)
-    return mean_variance_sampled(t, pos, rate, problem)
+    return mean_variance_sampled(t, *_sample_profile(profile, t), problem)
 
 
 def mean_variance(
@@ -418,7 +395,7 @@ def mean_variance_sampled(
     if t.size < 4:  # before steps[0]; _simpson_weights has the same limit
         raise InvalidParam("grid", "need at least 3 intervals for quadrature")
     steps = np.diff(t)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+    if not _uniform(steps):
         raise GridMismatch("quadrature grid must be uniform")
     w = _simpson_weights(t.size, float(steps[0]))
     b = np.asarray(problem.market.drift(t), dtype=float) * np.ones_like(t)
@@ -442,10 +419,6 @@ def mean_variance_sampled(
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
-
-
-def _slowest_rate(profile: Sequence[ExpSumStrategy]) -> float:
-    return max(float(np.max(s.rates)) for s in profile)
 
 
 def _tail_variances(profile: Sequence[ExpSumStrategy], t_end: float, sigma: float) -> np.ndarray:
@@ -493,26 +466,25 @@ def monte_carlo_revenues(
     analytic expected revenue. The martingale is the left-point Ito sum on
     config.time_steps steps, drawn from its exact Gaussian law (see
     _ito_sums): n normals per path rather than time_steps, so memory is
-    paths x n doubles. Infinite horizons are truncated
-    where the slowest mode of the profile has decayed by e^-40; each agent's
-    variance left in the tail is reported. Returns one MonteCarloResult per
-    agent, in profile order.
+    paths x n doubles. Infinite horizons are truncated where the slowest
+    live mode of the profile (one some agent holds, see model._decay_time)
+    has decayed by e^-40; each agent's variance left in the tail is
+    reported. Returns one MonteCarloResult per agent, in profile order. The
+    profile is checked before anything is drawn, with the errors of
+    mean_variance_profile.
     """
     profile = list(profile)
-    n = problem.n
-    if len(profile) != n:
-        raise InvalidParam("profile", f"expected {n} strategies, got {len(profile)}")
+    _check_profile(profile, problem)
     sigma = problem.market.sigma
     if problem.horizon.is_finite:
         t_end = problem.T
         trunc: Optional[float] = None
-        tails = [0.0] * n
+        tails = [0.0] * problem.n
     else:
-        trunc = 40.0 / abs(_slowest_rate(profile))
-        t_end = trunc
+        trunc = t_end = _decay_time(profile, 40.0)
         tails = _tail_variances(profile, t_end, sigma).tolist()
     t = np.linspace(0.0, t_end, config.time_steps + 1)
-    X = np.array([s.position(t) for s in profile], dtype=float)
+    X = np.array([s.position(t) for s in profile], dtype=float)  # no rates: the draw needs none
     stochastic = _ito_sums(X[:, :-1], t[1] - t[0], config.paths, config.seed)
     stochastic *= sigma
 
@@ -706,12 +678,6 @@ def non_monotone(values, rel_tol: float = 1e-9) -> Tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _deviation_window(problem: Problem, profile) -> float:
-    if problem.horizon.is_finite:
-        return problem.T
-    return 40.0 / abs(_slowest_rate(profile))
-
-
 def deviation_report(
     problem: Problem,
     strategies: Sequence[Strategy],
@@ -728,40 +694,30 @@ def deviation_report(
     nodes, so every Simpson pair sees a single linear piece). The objective
     is quadratic along each direction; its exact first-order coefficient and
     curvature are integrated per direction, and value changes follow from
-    them identically. Infinite horizons need no truncation correction since
-    bumps have compact support.
+    them identically. Infinite horizons are probed up to the time at which
+    the slowest live mode has decayed by e^-40, as in monte_carlo_revenues,
+    and need no truncation correction since bumps have compact support. The
+    profile is checked first, with the errors of mean_variance_profile.
     """
     strategies = list(strategies)
-    if len(strategies) != problem.n:
-        raise InvalidParam("strategies", "full profile required")
+    _check_profile(strategies, problem)
     if not 0 <= agent_index < problem.n:
         raise InvalidParam("agent_index", "out of range")
     grid_steps = int(grid_steps)
     if grid_steps % 32:
         grid_steps += 32 - grid_steps % 32
 
-    window = _deviation_window(problem, strategies)
+    window = problem.T if problem.horizon.is_finite else _decay_time(strategies, 40.0)
     t = np.linspace(0.0, window, grid_steps + 1)
     dt = t[1] - t[0]
     w = _simpson_weights(t.size, float(dt))
 
     m = problem.market
     alpha = problem.agents[agent_index].alpha
-    pos_i = rate_i = None
-    s_other = np.zeros(t.size)
-    for k, s in enumerate(strategies):
-        if isinstance(s, GridStrategy):
-            if s.n_steps != grid_steps or abs(s.grid[-1] - window) > 1e-12 * max(1.0, window):
-                p = s.position(t)
-                r = s.rate(t)
-            else:
-                p, r = s.positions, s.rates
-        else:
-            p, r = s.position(t), s.rate(t)
-        if k == agent_index:
-            pos_i, rate_i = np.asarray(p, float), np.asarray(r, float)
-        else:
-            s_other = s_other + np.asarray(r, float)
+    pos, rates = _sample_profile(strategies, t)
+    pos_i, rate_i = pos[agent_index], rates[agent_index]
+    # summed in agent order, one row at a time
+    s_other = np.delete(rates, agent_index, axis=0).sum(axis=0)
     b = np.asarray(m.drift(t), dtype=float) * np.ones_like(t)
 
     # first-order integrand pair: a = int eta g1 - int eta' g2

@@ -58,10 +58,9 @@ from scipy.linalg.lapack import dgbsv
 # Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
-from .errors import (GridMismatch, HorizonMismatch, InvalidParam, SingularShootingMatrix,
-                     UnsupportedCase)
-from .model import (DriftSpec, ExpSumStrategy, GridStrategy, Problem, _check_horizon, _mode_table,
-                    system_matrix)
+from .errors import HorizonMismatch, InvalidParam, SingularShootingMatrix
+from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_drift, _mode_table,
+                    _sample_profile, system_matrix)
 
 __all__ = [
     "BvpSolution",
@@ -314,6 +313,12 @@ def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
 def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     """Optimality residuals of a profile.
 
+    The profile is checked as by every whole-profile function (see
+    model._check_profile): InvalidParam unless it holds one strategy per
+    agent, HorizonMismatch for any member off the problem's horizon (a grid
+    whose last node is not T included), GridMismatch for grid members on
+    different grids.
+
     A profile holding grid strategies is checked on their shared grid of N
     intervals, with exponential-sum members sampled at its nodes: the node
     states Z_k = (X_k, X_k') must satisfy the solver's exact interval map
@@ -340,22 +345,10 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     """
     strategies = list(strategies)
     n = problem.n
-    if len(strategies) != n:
-        raise InvalidParam("strategies", "one strategy per agent required")
-    for s in strategies:
-        if isinstance(s, ExpSumStrategy):  # grid members: the span check below
-            _check_horizon(s, problem.horizon)
-    grids = [s for s in strategies if isinstance(s, GridStrategy)]
-    if grids:
-        t = grids[0].grid
-        for s in grids[1:]:
-            if s.grid.shape != t.shape or not np.array_equal(s.grid, t):
-                raise GridMismatch("grid strategies must share one grid")
-        if not problem.horizon.is_finite or abs(t[-1] - problem.T) > 1e-12 * problem.T:
-            raise GridMismatch("grid strategies must span the problem's horizon")
-        Z = np.empty((t.size, 2 * n))
-        for i, s in enumerate(strategies):  # interpolation returns grid nodes exactly
-            Z[:, i], Z[:, n + i] = s.position(t), s.rate(t)
+    t = _check_profile(strategies, problem)
+    if t is not None:
+        # node states as C-ordered rows: the einsum below sums in that layout
+        Z = np.vstack(_sample_profile(strategies, t)).T.copy()
         E, steps = _step_map(*assemble(problem), problem.market.drift, problem.T, t.size - 1)
         # numpy's own loop, not BLAS: right after expm, a threaded BLAS product
         # of this size took about 5 ms at n = 20 on 2 CPUs, this loop 0.4 ms
@@ -367,11 +360,8 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
         end_err = float(np.max(np.abs(Z[-1, :n])))
         n_probes = t.size - 1
     else:
-        market, T, drift = problem.market, problem.T, problem.market.drift
-        # a sampled drift of zeros is the zero drift the closed forms solve
-        if drift.kind == "sampled" and not drift.is_zero:
-            raise UnsupportedCase("exponential-sum profiles need a zero or constant drift")
-        b = drift.value if drift.kind == "constant" else 0.0
+        market, T = problem.market, problem.T
+        b = _exp_sum_drift(problem)
         C, r, a = _mode_table(strategies)
         flat = r == 0.0  # e^{0 (t - a)} = 1 whatever the anchor
         if b != 0.0 or np.any(flat):

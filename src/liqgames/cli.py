@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, bvp, closed_form, oracle
 from .errors import InvalidParam, LiquidationGameError, UnsupportedCase
-from .model import ExpSumStrategy, MarketParams, load_problem
+from .model import ExpSumStrategy, MarketParams, _decay_time, _sample_profile, load_problem
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -85,8 +85,7 @@ def _emission_window(problem, strategies, t_max: Optional[float]) -> float:
         if not (math.isfinite(t_max) and t_max > 0):
             raise InvalidParam("t-max", "must be finite and > 0")
         return t_max
-    slowest = max(float(np.max(s.rates)) for s in strategies)
-    return math.log(100.0) / abs(slowest)  # slowest mode down to 1 percent
+    return _decay_time(strategies, math.log(100.0))  # slowest live mode down to 1 percent
 
 
 def _spectral_block(problem) -> Optional[dict]:
@@ -120,11 +119,7 @@ def _cmd_equilibrium(args) -> int:
     window = _emission_window(problem, strategies, args.t_max)
     t = np.linspace(0.0, window, args.grid + 1)
     n = problem.n
-    pos = np.empty((n, t.size))
-    rates = np.empty_like(pos)
-    for i, s in enumerate(strategies):
-        pos[i] = s.position(t)
-        rates[i] = s.rate(t)
+    pos, rates = _sample_profile(strategies, t)
 
     residual = bvp.residual_report(strategies, problem)
     evaluations = [r.to_dict() for r in analysis.mean_variance_sampled(t, pos, rates, problem)]
@@ -262,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--t-max",
         type=float,
         default=None,
-        help="emission window for infinite horizons (default: slowest mode at 1%%)",
+        help="emission window for infinite horizons (default: slowest live mode at 1%%)",
     )
     eq.add_argument(
         "--residual-tol",

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     HorizonMismatch,
     InvalidParam,
     OutOfDomain,
@@ -419,13 +420,69 @@ class ExpSumStrategy:
         )
 
 
-def _check_horizon(strategy: Strategy, horizon: Horizon) -> None:
-    """HorizonMismatch unless strategy lives on horizon (finite T to 1e-12)."""
-    hz = strategy.horizon
-    if hz.is_finite != horizon.is_finite:
-        raise HorizonMismatch("strategy horizon does not match the problem")
-    if horizon.is_finite and abs(hz.T - horizon.T) > 1e-12 * max(1.0, horizon.T):
-        raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
+def _check_profile(profile: Sequence[Strategy], problem: Problem) -> Optional[np.ndarray]:
+    """The shared grid of a whole profile for problem, None if it holds no grid member.
+
+    Every whole-profile consumer runs this first. InvalidParam unless there
+    is one strategy per agent; HorizonMismatch for any member off the
+    problem's horizon (finite T to 1e-12; a grid member's horizon ends at
+    its last node); GridMismatch when grid members sit on different grids.
+    """
+    if len(profile) != problem.n:
+        raise InvalidParam("profile", f"expected {problem.n} strategies, got {len(profile)}")
+    horizon = problem.horizon
+    for s in profile:
+        hz = s.horizon
+        if hz.is_finite != horizon.is_finite:
+            raise HorizonMismatch("strategy horizon does not match the problem")
+        if horizon.is_finite and abs(hz.T - horizon.T) > 1e-12 * max(1.0, horizon.T):
+            raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
+    grids = [s.grid for s in profile if isinstance(s, GridStrategy)]
+    for g in grids[1:]:
+        if g.shape != grids[0].shape or not np.array_equal(g, grids[0]):
+            raise GridMismatch("grid strategies must share one grid")
+    return grids[0] if grids else None
+
+
+def _sample_profile(profile: Sequence[Strategy], t) -> Tuple[np.ndarray, np.ndarray]:
+    """(n, len(t)) positions and rates of every member at times t.
+
+    Each row is the member's own position(t) and rate(t); at a grid
+    member's nodes, interpolation returns the stored node values exactly.
+    """
+    return (np.array([s.position(t) for s in profile], dtype=float),
+            np.array([s.rate(t) for s in profile], dtype=float))
+
+
+def _decay_time(profile: Sequence[ExpSumStrategy], decay: float) -> float:
+    """Time by which the slowest live mode of an infinite-horizon profile falls by e^-decay.
+
+    Live modes are those of _mode_table: a mode that no agent holds does not
+    set the window, one held by a rounding-size coefficient does. A profile
+    that holds no inventory at all has no live mode and falls back to every
+    term's rate.
+    """
+    rates = _mode_table(profile)[1]
+    if rates.size == 0:
+        rates = np.concatenate([s.rates for s in profile])
+    return decay / abs(float(np.max(rates)))
+
+
+def _exp_sum_drift(problem: Problem) -> float:
+    """The constant drift b that an exponential-sum profile is checked and integrated under.
+
+    A sampled drift of zeros is the zero drift the closed forms solve; any
+    other sampled drift raises UnsupportedCase.
+    """
+    drift = problem.market.drift
+    if drift.kind == "sampled" and not drift.is_zero:
+        raise UnsupportedCase("exponential-sum profiles need a zero or constant drift")
+    return drift.value if drift.kind == "constant" else 0.0
+
+
+def _uniform(steps: np.ndarray) -> bool:
+    """Whether every grid step is within 1e-9 relative of the first."""
+    return bool(np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0])))
 
 
 def _mode_table(profile: Sequence[ExpSumStrategy]):
@@ -475,7 +532,7 @@ class GridStrategy:
         steps = np.diff(g)
         if not np.all(steps > 0):
             raise InvalidParam("grid", "grid must be strictly increasing")
-        if not np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0])):
+        if not _uniform(steps):
             raise InvalidParam("grid", "grid must be uniform")
         if p[-1] != 0.0:
             raise InvalidParam("positions", "final position must be exactly zero")

@@ -35,10 +35,10 @@ from liqgames.model import (
 )
 
 
-def two_agent_problem(sigma=1.0, s0=10.0):
+def two_agent_problem(sigma=1.0, s0=10.0, horizon=Horizon.finite(2.0)):
     market = MarketParams(lam=1.0, gamma=1.0, sigma=sigma, s0=s0)
     agents = (AgentSpec(1.12, 0.8), AgentSpec(2.06, 0.8))
-    return validate_problem(market, agents, Horizon.finite(2.0))
+    return validate_problem(market, agents, horizon)
 
 
 def linear_strategy(x, T):
@@ -507,6 +507,81 @@ def test_monte_carlo_config_validation():
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
     with pytest.raises(InvalidParam):  # one strategy per agent
         analysis.monte_carlo_revenues(strats[:1], problem, analysis.MonteCarloConfig())
+
+
+# ---------------------------------------------------------------------------
+# whole-profile rules: one check, one window
+# ---------------------------------------------------------------------------
+
+
+def equal_x0_infinite(x0):
+    # equal alpha and equal x0: the profile holds no spread, so the theta
+    # mode's coefficient is 0 up to rounding
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    problem = validate_problem(market, [AgentSpec(x0, 0.7)] * 3, Horizon.infinite())
+    return problem, closed_form.equal_alpha_infinite(market, problem.agents)
+
+
+@pytest.mark.parametrize("x0, slowest", [(1.5, "rho_minus"), (0.1, "theta_minus"),
+                                         (0.0, "theta_minus")])
+def test_windows_follow_the_slowest_live_mode(x0, slowest):
+    # x0 = 1.5 leaves the theta coefficient exactly 0, a mode no agent holds;
+    # x0 = 0.1 leaves it at -1.4e-17, which still counts; x0 = 0 holds no
+    # mode at all, and every term's rate counts
+    problem, strats = equal_x0_infinite(x0)
+    rate = getattr(closed_form.spectral(problem.market, 0.7, 3), slowest)
+    window = 40.0 / abs(rate)
+    cfg = analysis.MonteCarloConfig(paths=200, time_steps=64)
+    for mc in analysis.monte_carlo_revenues(strats, problem, cfg):
+        assert mc.truncation_time == pytest.approx(window, rel=1e-12)
+    # the first sine direction's curvature is a function of the probe window
+    rep = analysis.deviation_report(problem, strats, 0, n_directions=1)
+    m = problem.market
+    want = -(0.5 * 0.7 * m.sigma**2 + m.lam * (math.pi / window) ** 2) * (window / 2.0)
+    assert rep.curvature[0] == pytest.approx(want, rel=1e-12)
+
+
+PROFILE_CONSUMERS = {
+    "residual_report": bvp.residual_report,
+    "mean_variance_profile": analysis.mean_variance_profile,
+    "monte_carlo_revenues": lambda profile, problem: analysis.monte_carlo_revenues(
+        profile, problem, analysis.MonteCarloConfig(paths=200, time_steps=64)),
+    "deviation_report": lambda profile, problem: analysis.deviation_report(
+        problem, profile, 0, n_directions=25),
+}
+
+
+def no_draws(*args):
+    raise AssertionError("a mismatched profile must be rejected before any draw")
+
+
+@pytest.mark.parametrize("case", ["grid_2.0_on_T2.5", "grid_2.5_on_T2.0", "grid_on_infinite",
+                                  "finite_exp_sum_on_infinite"])
+@pytest.mark.parametrize("consumer", sorted(PROFILE_CONSUMERS))
+def test_every_profile_consumer_raises_horizon_mismatch(consumer, case, monkeypatch):
+    monkeypatch.setattr(analysis, "_ito_sums", no_draws)
+    finite = two_agent_problem()
+    profile, horizon = {
+        "grid_2.0_on_T2.5": ([linear_strategy(1.12, 2.0), linear_strategy(2.06, 2.0)],
+                             Horizon.finite(2.5)),
+        "grid_2.5_on_T2.0": ([linear_strategy(1.12, 2.5), linear_strategy(2.06, 2.5)],
+                             Horizon.finite(2.0)),
+        "grid_on_infinite": ([linear_strategy(1.12, 2.0), linear_strategy(2.06, 2.0)],
+                             Horizon.infinite()),
+        "finite_exp_sum_on_infinite": (
+            closed_form.equal_alpha_finite(finite.market, finite.agents, 2.0), Horizon.infinite()),
+    }[case]
+    with pytest.raises(HorizonMismatch):
+        PROFILE_CONSUMERS[consumer](profile, two_agent_problem(horizon=horizon))
+
+
+@pytest.mark.parametrize("consumer", sorted(PROFILE_CONSUMERS))
+def test_every_profile_consumer_raises_grid_mismatch(consumer, monkeypatch):
+    monkeypatch.setattr(analysis, "_ito_sums", no_draws)
+    grids = [GridStrategy(grid=np.linspace(0.0, 2.0, k), positions=np.linspace(x, 0.0, k),
+                          rates=np.full(k, -x / 2.0)) for x, k in ((1.12, 101), (2.06, 201))]
+    with pytest.raises(GridMismatch):
+        PROFILE_CONSUMERS[consumer](grids, two_agent_problem())
 
 
 # ---------------------------------------------------------------------------

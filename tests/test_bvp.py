@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import GridMismatch, HorizonMismatch, InvalidParam
+from liqgames.errors import HorizonMismatch, InvalidParam
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -353,7 +353,7 @@ def test_grid_residual_reads_every_interval():
     exact = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
     mixed = bvp.residual_report([sol.strategies[0], exact[1]], problem)
     assert mixed.n_probes == 400 and mixed.relative < 1e-12
-    with pytest.raises(GridMismatch):  # the grid must span the problem's horizon
+    with pytest.raises(HorizonMismatch):  # the grid must span the problem's horizon
         bvp.residual_report(sol.strategies, make_problem(T=2.5))
 
 

@@ -6,6 +6,7 @@ wires up to the same entry point.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -157,6 +158,20 @@ def test_equilibrium_stiff_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "a.json").read_text())["route"] == "bvp"
+
+
+def test_emission_window_follows_the_slowest_live_mode(tmp_path):
+    # equal alpha and equal x0: the theta mode's coefficient is exactly 0, so
+    # the aggregate's rho_minus sets the window
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    problem = validate_problem(market, [AgentSpec(1.5, 0.7)] * 3, Horizon.infinite())
+    src = tmp_path / "twins3.json"
+    dump_problem(problem, str(src))
+    out = tmp_path / "twins3_out.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "twins3_out.json").read_text())
+    rho = side["spectral"]["rho_minus"]
+    assert side["grid"]["t_max"] == pytest.approx(math.log(100.0) / abs(rho), rel=1e-12)
 
 
 def test_equilibrium_infinite_emission_window(tmp_path):
