@@ -6,12 +6,12 @@ under a mean-variance (equivalently CARA) objective; the open-loop Nash
 equilibrium solves a coupled linear two-point boundary value problem.
 The package provides closed forms where they exist, stationary solutions on
 the infinite horizon, a grid boundary solver for the general finite-horizon
-game (multiple shooting: one banded solve over segments short enough that
-rounding cannot grow much inside them, forced by the exact integral of the
-piecewise-linear drift over each interval), an independent discrete-game oracle (one banded solve of the stacked
-first-order conditions of the time-stepped game), and tools for evaluating
-(every agent's exact revenue moments from one Gram matrix of the profile's
-exponential modes), simulating, classifying and scanning equilibria.
+game (forward and backward marches on Schur bases, forced by the exact
+integral of the piecewise-linear drift over each interval), an independent
+discrete-game oracle (one banded solve of the stacked first-order conditions
+of the time-stepped game), and tools for evaluating (every agent's exact
+revenue moments from one Gram matrix of the profile's exponential modes),
+simulating, classifying and scanning equilibria.
 """
 
 from .errors import (

@@ -703,6 +703,8 @@ def deviation_report(
     _check_profile(strategies, problem)
     if not 0 <= agent_index < problem.n:
         raise InvalidParam("agent_index", "out of range")
+    if n_directions < 1:
+        raise InvalidParam("n_directions", "need at least one direction")
     grid_steps = int(grid_steps)
     if grid_steps % 32:
         grid_steps += 32 - grid_steps % 32

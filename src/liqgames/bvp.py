@@ -21,40 +21,31 @@ pieces are chained by their own e^{M h_p}, one small exponential per piece.
 So the discrete solution at the nodes does not depend on the grid, and each
 returned GridStrategy carries both blocks of it: inventories and rates.
 
-One route solves the resulting discrete boundary system, multiple shooting
-(Stoer and Bulirsch, Introduction to Numerical Analysis, sec. 7.3.5). The
-grid of N intervals is cut into segments of at most ceil(sqrt(N)) whole
-intervals, also short enough that the fastest growth rate of M times the
-segment length stays within a fixed budget. One solve couples the states at
-the segment ends through each segment's propagator e^{M L dt} and
-accumulated forcing; its matrix is banded, is written straight into LAPACK
-band storage from index arithmetic, and is solved by banded LU with partial
-pivoting (gbsv), whose memory is the band itself. A march across each
-segment from its solved start fills in the interior nodes. The forcing
-accumulation and the march advance all segments in lockstep, so each takes
-about sqrt(N) vectorised steps rather than N. A mild horizon is sqrt(N)
-segments of sqrt(N) intervals; on the stiffest grids every interval is a
-segment, which is a banded solve over every node. Rounding grows by at most
-the budget's exponential inside a segment, whatever the horizon.
+The solve decouples M's modes by the direction in which they decay (Ascher,
+Mattheij and Russell, Numerical Solution of Boundary Value Problems for
+ODEs, SIAM 1995): eigenvalues only choose the split, and sorted real Schur
+forms (Laub, IEEE TAC 1979) give the bases (see _split). In w = D^-1 Z the
+forward part marches from t = 0 and the backward part from t = T, on the
+drift reversed in time; neither grows past about e over the horizon,
+whatever the horizon or the grid step, and one 2n x 2n solve joins them (see
+_march). No eigenvector is formed. A singular 2n x 2n system, non-finite
+nodes or an overflowing exponential (only residual_report's e^{M h} can
+overflow) raise SingularShootingMatrix. Infinite horizons are solved in
+closed form (see closed_form).
 
-A matrix exponential that overflows raises SingularShootingMatrix. No
-eigendecomposition is used on the solve path; M is nonsymmetric and its
-eigenvectors can be poorly conditioned for nearby risk aversions. Infinite
-horizons are solved in closed form (see closed_form).
-
-residual_report checks grid profiles against this same interval map; the map
-itself is checked against closed forms and manufactured solutions. Profiles
-of exponential sums are checked mode by mode, on no grid.
+residual_report checks grid profiles against M's own interval map, which
+shares no decomposition with the solve, and exponential sums mode by mode.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgees, dtrsen
 # Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
@@ -70,9 +61,6 @@ __all__ = [
     "residual_report",
 ]
 
-# Growth budget of one shooting segment: forward rounding inside a segment
-# grows by at most e^4 ~ 55.
-_SEGMENT_GROWTH = 4.0
 # A drift sample point this close to a node, in units of the step, counts as
 # on the node: sample grids built as T k / K sit there up to rounding, and a
 # piece of rounding length would cost two exponentials for no accuracy.
@@ -120,11 +108,19 @@ class BvpSolution:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A, or SingularShootingMatrix when it overflows."""
+    """e^A, or SingularShootingMatrix when it overflows.
+
+    Scaled to 1-norm < 4, where scipy's expm does not square, and squared
+    here: its squaring of triangular input (Schur blocks are) cancels for
+    close but unequal diagonal entries.
+    """
+    s = max(0, math.frexp(float(np.abs(A).sum(axis=0).max()))[1] - 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = expm(A)
+        out = expm(A * 0.5**s)
+        for _ in range(s):
+            out = out @ out
     if not np.all(np.isfinite(out)):
-        raise SingularShootingMatrix("matrix exponential overflows; shorten the grid step")
+        raise SingularShootingMatrix("matrix exponential overflows")
     return out
 
 
@@ -139,25 +135,29 @@ def _propagators(M: np.ndarray, u: np.ndarray, h: float):
     return F[:m, :m], F[:m, m], F[:m, m + 1]
 
 
-def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2) -> np.ndarray:
+def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2,
+                   reverse: bool = False) -> np.ndarray:
     """Exact variation-of-constants integral of b(t) u over every interval.
 
     p1, p2 are phi1 u and phi2 u at the grid step. Intervals holding drift
-    sample points strictly inside are recomputed piece by piece.
+    sample points strictly inside are recomputed piece by piece. With
+    reverse, the drift is b(T - s) on the same grid of s.
     """
     dt = T / n_steps
     t = np.linspace(0.0, T, n_steps + 1)
-    b = drift(t)
+    at = (lambda s: drift(T - s)) if reverse else drift
+    b = at(t)
     steps = np.outer(b[:-1], p1) + np.outer(np.diff(b) / dt, p2)
     if drift.kind != "sampled":
         return steps
-    pos = drift.grid / dt
-    inside = (drift.grid > 0.0) & (drift.grid < T) & (np.abs(pos - np.round(pos)) > _KNOT_SNAP)
-    knots = drift.grid[inside]
+    grid = np.unique(T - drift.grid) if reverse else drift.grid
+    pos = grid / dt
+    inside = (grid > 0.0) & (grid < T) & (np.abs(pos - np.round(pos)) > _KNOT_SNAP)
+    knots = grid[inside]
     owner = np.floor(pos[inside]).astype(int)
     for k in np.unique(owner):
         cuts = np.concatenate([[t[k]], knots[owner == k], [t[k + 1]]])
-        bc = drift(cuts)
+        bc = at(cuts)
         step = np.zeros(M.shape[0])
         for h, b_a, db in zip(np.diff(cuts), bc[:-1], np.diff(bc)):
             E_p, p1_p, p2_p = _propagators(M, u, h)
@@ -166,103 +166,88 @@ def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2) -> np
     return steps
 
 
-def _segment_ends(growth: float, T: float, n_steps: int) -> np.ndarray:
-    """End nodes 0, L, 2 L, ..., N of the shooting segments.
+def _split(M: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray, int]:
+    """D, C = blockdiag(A_f, -A_b) and k = dim A_f, with M D = D blockdiag(A_f, A_b).
 
-    L is ceil(sqrt(N)), so the banded solve couples about sqrt(N) segment
-    ends and the lockstep march of _multiple_shooting takes about sqrt(N)
-    steps; it is cut further to the most whole intervals whose growth stays
-    within _SEGMENT_GROWTH (at least one). The last segment takes the
-    remainder, so any N works.
+    Sorted, the real parts r_j of M's eigenvalues split after r_k when
+    r_k T <= 1 and r_{k+1} T >= -1 (k = count(r_j T < -1) always does), so
+    neither e^{A_f t} nor e^{-A_b t} grows past about e on [0, T]. The
+    widest such gap wins, an end counting as infinite, so slow modes stay
+    together. M = [[0, I], [A, B]] is balanced by scaling rates by c >= 1, a
+    power of two near sqrt|A|, so fast modes keep inventory parts; its real
+    Schur form is reordered (trsen) with the eigenvalues below, then above,
+    the gap's midpoint first, and D = diag(1, c) [Q_f Q_b]. C runs the
+    backward part in T - t.
     """
+    n = M.shape[0] // 2
+    a = max(1.0, np.abs(M[n:, :n]).sum(axis=1).max())
+    scale = np.repeat([1.0, 2.0 ** (math.frexp(a)[1] // 2)], n)
+    S, _, r, _, Q, _, bad = dgees(lambda re, im: False, M * scale / scale[:, None])  # unsorted
+    rs = [-math.inf] + sorted(r.tolist()) + [math.inf]
+    _, lo, hi = max((b - a, a, b) for a, b in zip(rs, rs[1:]) if a * T <= 1.0 and b * T >= -1.0)
+    cut = (lo + hi) / 2.0
+    (A_f, Q_f, *_, k, _, _, bad_f), (A_b, Q_b, *_, k_b, _, _, bad_b) = (
+        dtrsen(select.astype(np.int32), S, Q, job="N") for select in (r < cut, r > cut))
+    if bad or bad_f or bad_b:
+        raise SingularShootingMatrix(f"the spectrum of M does not split at {cut}")
+    C = np.zeros_like(M)
+    C[:k, :k], C[k:, k:] = A_f[:k, :k], -A_b[:k_b, :k_b]
+    return scale[:, None] * np.hstack([Q_f[:, :k], Q_b[:, :k_b]]), C, k
+
+
+def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
+           steps: Optional[np.ndarray], x0, n_steps: int) -> np.ndarray:
+    """Node states Z_0..Z_N from the decoupled marches and one 2n x 2n solve.
+
+    y_j stacks the first k rows of w = D^-1 Z (forward) at node j over the
+    rest (backward) at node N - j, so y_{j+1} = G y_j + s_j, G = e^{Ch}. On
+    blocks of L = ceil(sqrt(N)) steps (the last takes the rest), mapped by
+    e^{Ch L} (G^L's squarings lose digits), the forcing is summed and then
+    the nodes marched in lockstep: L vectorised steps, not N. Block ends
+    chained from 0 and from I give y_N = H y_0 + p; X(0) = x0 and X(T) = 0
+    fix y_0 = (w_f(0), w_b(T)).
+    """
+    m = G.shape[0]
     L = math.isqrt(n_steps - 1) + 1
-    if growth * T > _SEGMENT_GROWTH:
-        L = max(1, min(L, int(_SEGMENT_GROWTH // (growth * T / n_steps))))
-    return np.append(np.arange(0, n_steps, L), n_steps)
+    ends = np.append(np.arange(0, n_steps, L), n_steps)
+    starts, lengths = ends[:-1], np.diff(ends)
+    # block j as the affine map y -> P_j y + f_j in homogeneous coordinates
+    blocks = np.zeros((starts.size, m + 1, m + 1))
+    blocks[:, m, m] = 1.0
+    for length in set(lengths.tolist()):
+        blocks[lengths == length, :m, :m] = _expm(Ch * length)
 
+    def advance(i: int, Y: np.ndarray) -> np.ndarray:
+        # step i of every block that has one (only the last can be shorter),
+        # one per row; steps[i::L] are those blocks' steps
+        Y = Y[:len(range(i, n_steps, L))] @ G.T
+        return Y if steps is None else Y + steps[i::L]
 
-def _global_system(P: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """LAPACK band storage of the discretized two-point problem over K segments.
-
-    P is the (K, m, m) stack of segment propagators. Unknowns are the full
-    state W_j at every segment end j = 0..K, stacked end by end. Rows 0..n-1
-    pin the inventory block of W_0, segment j contributes the m rows
-    W_{j+1} - P_j W_j starting at row n + j m, and the last n rows pin the
-    inventory block of W_K.
-
-    Every entry lies within kl = n + m - 1 subdiagonals and ku = n
-    superdiagonals: -P_j[a, b] sits at row minus column n + a - b, the 1
-    closing segment j at -n, and the pins at 0 and n. Returns ab and
-    (kl, ku), with A[i, j] at ab[kl + ku + i - j, j] as gbsv reads it; the
-    first kl rows of ab are gbsv's room for fill-in.
-    """
-    K, m, _ = P.shape
-    n = m // 2
-    kl, ku = n + m - 1, n
-    diag = kl + ku  # band row of the main diagonal
-    comp = np.arange(m)
-    ab = np.zeros((2 * kl + ku + 1, (K + 1) * m))
-    ab[diag + n + comp[:, None] - comp, m * np.arange(K)[:, None, None] + comp] = -P
-    ab[diag - n, m:] = 1.0  # the 1 that closes each segment
-    ab[diag, :n] = 1.0  # inventory pins of W_0
-    ab[diag + n, K * m:K * m + n] = 1.0  # inventory pins of W_K
-    return ab, (kl, ku)
-
-
-def _multiple_shooting(M: np.ndarray, E: np.ndarray, T: float, ends: np.ndarray, x_left,
-                       steps: Optional[np.ndarray]) -> np.ndarray:
-    """Node states from one banded solve over the segment ends, then a march.
-
-    Segment j spans the L_j intervals from node ends[j] to ends[j + 1]. Its
-    propagator P_j = e^{M L_j dt} (E itself when L_j = 1, so one interval per
-    segment gives the system over every node) and its forcing f_j, the
-    steps s_k accumulated by f <- E f + s_k, give W_{j+1} = P_j W_j + f_j.
-    The matrix of _global_system is solved against (x_left, f_0, ...,
-    f_{K-1}, 0) by LAPACK's banded LU with partial pivoting, whose memory
-    is the band itself. Each segment is then marched by
-    Z_{k+1} = E Z_k + s_k from its solved start; segment ends are taken
-    from the solve. Both the accumulation and the march advance every
-    segment in lockstep, one step index at a time, so they take max L_j
-    steps rather than N.
-    """
-    m = E.shape[0]
-    n = m // 2
-    n_steps = ends[-1]
-    starts = ends[:-1]
-    lengths = np.diff(ends)
-    props = {1: E}
-    for L in set(lengths.tolist()) - {1}:
-        props[L] = _expm(M * (T * L / n_steps))
-
-    def advance(i: int, Z: np.ndarray, k: int) -> np.ndarray:
-        # step i of the first k segments, one per row. numpy's own loop, not
-        # BLAS: see the note in residual_report
-        Z = np.einsum("ij,kj->ki", E, Z[:k])
-        return Z if steps is None else Z + steps[starts[:k] + i]
-
-    # lengths never increase (see _segment_ends), so the segments still
-    # running at step i are the first count(lengths > i)
-    rhs = np.zeros(ends.size * m)
-    rhs[:n] = x_left
+    forcing = blocks[:, :m, m]  # a view: the f_j land in the blocks
     if steps is not None:
-        f = rhs[n:-n].reshape(-1, m)
-        for i in range(lengths[0]):
-            k = np.count_nonzero(lengths > i)
-            f[:k] = advance(i, f, k)
-    ab, (kl, ku) = _global_system(np.stack([props[L] for L in lengths.tolist()]))
-    _, _, W, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=True, overwrite_b=True)
-    if info != 0:
-        raise SingularShootingMatrix(f"boundary system is singular (gbsv info {info})")
-    if not np.all(np.isfinite(W)):
+        for i in range(L):
+            forcing[:len(range(i, n_steps, L))] = advance(i, forcing)
+    # y at every block end, H_j y_0 + p_j, as chain[j] @ (y_0, 1)
+    chain = np.array(list(accumulate(blocks, lambda c, b: b @ c, initial=np.eye(m + 1))))
+    H, p = chain[-1, :m, :m], chain[-1, :m, m]
+    # X(0) reads y_0's forward part and y_N's backward part, X(T) the others
+    Df, Db = D[:m // 2, :k], D[:m // 2, k:]
+    A = np.vstack([np.hstack([Df, Db @ H[k:, k:]]), np.hstack([Df @ H[:k, :k], Db])])
+    rhs = np.concatenate([x0 - Db @ p[k:], -Df @ p[:k]])
+    try:
+        y0 = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularShootingMatrix("boundary system is singular") from None
+    Y = np.empty((n_steps + 1, m))
+    Y[ends] = chain[:, :m] @ np.append(y0, 1.0)
+    cur = Y[starts]
+    for i in range(L - 1):
+        cur = advance(i, cur)[:len(range(i + 1, n_steps, L))]
+        Y[i + 1::L][:len(cur)] = cur
+    Y[:, k:] = Y[::-1, k:]  # the backward part at node j is y_{N-j}
+    Z = Y @ D.T
+    if not np.all(np.isfinite(Z)):
         raise SingularShootingMatrix("boundary solve produced non-finite values")
-    Z = np.empty((n_steps + 1, m))
-    W = W.reshape(-1, m)
-    Z[ends] = W
-    cur = W[:-1]
-    for i in range(lengths[0] - 1):
-        k = np.count_nonzero(lengths > i + 1)
-        cur = advance(i, cur, k)
-        Z[starts[:k] + i + 1] = cur
     return Z
 
 
@@ -283,18 +268,23 @@ def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
     Each agent's strategy carries its inventory and rate columns of the
     solved node states. Initial inventories are snapped to exactly x0, and
     terminal ones to exactly zero after the defect is recorded; the rates
-    are kept as solved. The optimality residual of the result is measured
-    separately, by residual_report.
+    are kept as solved. residual_report measures the optimality residual.
     """
     if not problem.horizon.is_finite:
         raise HorizonMismatch("the grid solver needs a finite horizon")
     if n_steps < 8:
         raise InvalidParam("n_steps", "need at least 8 intervals")
-    n, T, x0 = problem.n, problem.T, problem.x0
+    n, T, x0, drift = problem.n, problem.T, problem.x0, problem.market.drift
     M, u = assemble(problem)
-    E, steps = _step_map(M, u, problem.market.drift, T, n_steps)
-    growth = float(np.max(np.linalg.eigvals(M).real))
-    Z = _multiple_shooting(M, E, T, _segment_ends(growth, T, n_steps), x0, steps)
+    D, C, k = _split(M, T)
+    g = np.linalg.solve(D, u)
+    g[k:] *= -1.0  # the backward part runs in s = T - t
+    G, p1, p2 = _propagators(C, g, T / n_steps)
+    steps = None if drift.is_zero else np.hstack([
+        _forcing_steps(C[:k, :k], g[:k], drift, T, n_steps, p1[:k], p2[:k]),
+        _forcing_steps(C[k:, k:], g[k:], drift, T, n_steps, p1[k:], p2[k:], reverse=True),
+    ])
+    Z = _march(D, k, C * (T / n_steps), G, steps, x0, n_steps)
     X = Z[:, :n].copy()
     defect = float(np.max(np.abs(X[-1])))
     X[0], X[-1] = x0, 0.0

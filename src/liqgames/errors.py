@@ -46,9 +46,9 @@ class DegenerateEigenbasis(LiquidationGameError):
 class SingularShootingMatrix(LiquidationGameError):
     """The finite-horizon boundary solve is singular or not finite.
 
-    Raised by the grid solver when the banded multiple-shooting system over
-    its segment ends is singular or solves to non-finite values, and when a
-    matrix exponential overflows.
+    Raised by the grid solver when the 2n x 2n system that joins its forward
+    and backward marches is singular or its nodes are not finite, and when a
+    matrix exponential overflows (residual_report's e^{M h} on a stiff grid).
     """
 
 

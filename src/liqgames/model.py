@@ -327,6 +327,11 @@ def validate_problem(market: MarketParams, agents: Sequence[AgentSpec], horizon:
 # ---------------------------------------------------------------------------
 
 
+def _last_time(T: float) -> float:
+    """Latest time at which a strategy on horizon T evaluates; see _check_profile."""
+    return T + 1e-12 * max(1.0, T)
+
+
 def _in_domain(t, T: Optional[float]) -> np.ndarray:
     """t as a float array; OutOfDomain for NaN, before 0 or past T (None: no end)."""
     t = np.asarray(t, dtype=float)
@@ -340,7 +345,7 @@ def _in_domain(t, T: Optional[float]) -> np.ndarray:
     # negated, so that NaN fails both
     if not lo >= 0.0:
         raise OutOfDomain(f"t must be >= 0, got {lo}")
-    if T is not None and not hi <= T * (1.0 + 1e-12):
+    if T is not None and not hi <= _last_time(T):
         raise OutOfDomain(f"t must be <= {T}, got {hi}")
     return t
 
@@ -425,8 +430,9 @@ def _check_profile(profile: Sequence[Strategy], problem: Problem) -> Optional[np
 
     Every whole-profile consumer runs this first. InvalidParam unless there
     is one strategy per agent; HorizonMismatch for any member off the
-    problem's horizon (finite T to 1e-12; a grid member's horizon ends at
-    its last node); GridMismatch when grid members sit on different grids.
+    problem's horizon (a grid's ends at its last node; each finite end must
+    be by the other's _last_time, so every accepted member evaluates on all
+    of [0, T]); GridMismatch when grid members sit on different grids.
     """
     if len(profile) != problem.n:
         raise InvalidParam("profile", f"expected {problem.n} strategies, got {len(profile)}")
@@ -435,7 +441,7 @@ def _check_profile(profile: Sequence[Strategy], problem: Problem) -> Optional[np
         hz = s.horizon
         if hz.is_finite != horizon.is_finite:
             raise HorizonMismatch("strategy horizon does not match the problem")
-        if horizon.is_finite and abs(hz.T - horizon.T) > 1e-12 * max(1.0, horizon.T):
+        if horizon.is_finite and max(hz.T, horizon.T) > _last_time(min(hz.T, horizon.T)):
             raise HorizonMismatch(f"strategy horizon {hz.T} != problem horizon {horizon.T}")
     grids = [s.grid for s in profile if isinstance(s, GridStrategy)]
     for g in grids[1:]:

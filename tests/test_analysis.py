@@ -575,6 +575,33 @@ def test_every_profile_consumer_raises_horizon_mismatch(consumer, case, monkeypa
         PROFILE_CONSUMERS[consumer](profile, two_agent_problem(horizon=horizon))
 
 
+@pytest.mark.parametrize("kind", ["grid", "exp_sum"])
+@pytest.mark.parametrize("offset", [-2.0, -0.5, 0.5, 2.0])
+@pytest.mark.parametrize("T", [0.01, 1.0, 100.0])
+def test_every_profile_consumer_accepts_only_samplable_horizons(T, offset, kind):
+    # members end at T + offset 1e-12 max(1, T). Every consumer must agree:
+    # samplable on [0, T] within the tolerance, HorizonMismatch past it. A
+    # grid pair at T = 0.01 - 5e-13 once passed the check and then raised
+    # OutOfDomain from the Monte Carlo and the deviation probe. Small
+    # inventories keep the CARA utilities of a T = 0.01 liquidation finite
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = (AgentSpec(0.112, 0.8), AgentSpec(0.206, 0.8))
+    problem = validate_problem(market, agents, Horizon.finite(T))
+    end = T + offset * 1e-12 * max(1.0, T)
+    profile = {
+        "grid": [linear_strategy(0.112, end), linear_strategy(0.206, end)],
+        "exp_sum": closed_form.equal_alpha_finite(problem.market, problem.agents, end),
+    }[kind]
+    outcomes = set()
+    for consumer in PROFILE_CONSUMERS.values():
+        try:
+            consumer(profile, problem)
+            outcomes.add("ok")
+        except HorizonMismatch:
+            outcomes.add("HorizonMismatch")
+    assert outcomes == ({"ok"} if abs(offset) < 1.0 else {"HorizonMismatch"})
+
+
 @pytest.mark.parametrize("consumer", sorted(PROFILE_CONSUMERS))
 def test_every_profile_consumer_raises_grid_mismatch(consumer, monkeypatch):
     monkeypatch.setattr(analysis, "_ito_sums", no_draws)
@@ -793,3 +820,12 @@ def test_deviation_report_validation():
         analysis.deviation_report(problem, [strats[0]], 0)
     with pytest.raises(InvalidParam):
         analysis.deviation_report(problem, strats, 2)
+
+
+@pytest.mark.parametrize("n_directions", [0, -1])
+def test_deviation_report_needs_a_direction(n_directions):
+    # an empty report would certify nothing
+    problem = two_agent_problem()
+    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
+    with pytest.raises(InvalidParam):
+        analysis.deviation_report(problem, strats, 0, n_directions=n_directions)

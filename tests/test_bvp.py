@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from liqgames import bvp, closed_form
 from liqgames.errors import HorizonMismatch, InvalidParam
@@ -36,6 +36,12 @@ def make_problem(lam=1.0, gamma=1.0, sigma=1.0, alphas=(0.8, 0.8),
 
 def solve(problem, n_steps=400):
     return bvp.solve_finite(problem, n_steps)
+
+
+def node_states(problem, n_steps):
+    """(2n, N + 1) solved node states: every agent's inventories, then rates."""
+    sol = solve(problem, n_steps)
+    return np.array([s.positions for s in sol.strategies] + [s.rates for s in sol.strategies])
 
 
 def manufactured_solution(market, alphas, x0, b, T, t):
@@ -159,8 +165,8 @@ def test_agent_permutation_symmetry():
 
 
 def test_stiff_horizon_global_solve():
-    # growth * T ~ 87 would overflow single shooting; split into segments,
-    # the solve must still reproduce the closed form at machine precision
+    # growth * T ~ 87: a forward march of every mode would grow rounding by
+    # e^87; marched in their own directions they reproduce the closed form
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0)
     sol = solve(problem, 400)
@@ -172,7 +178,7 @@ def test_stiff_horizon_global_solve():
 
 
 def test_stiff_horizon_with_drift():
-    # same stiff spectrum plus forcing, over several segments: the exact
+    # same stiff spectrum plus forcing, forward and backward: the exact
     # per-interval forcing must keep the node values at machine precision
     problem = make_problem(lam=0.05, gamma=1.0, sigma=1.0, alphas=(2.0, 2.0),
                            x0=(1.0, 2.0), T=4.0, drift=DriftSpec.constant(0.4))
@@ -185,7 +191,7 @@ def test_stiff_horizon_with_drift():
 
 def test_moderate_growth_horizon_solves_to_rounding():
     # growth * T ~ 13: single shooting amplified rounding by e^13 here (terminal
-    # defect 4e-10); segments bound the amplification by e^4
+    # defect 4e-10); no march of the decoupled solve grows past about e
     problem = make_problem(lam=0.3, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=3.0,
                            drift=DriftSpec.constant(0.3))
     growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
@@ -196,7 +202,7 @@ def test_moderate_growth_horizon_solves_to_rounding():
 
 
 def dense_global_system(P):
-    """Block-by-block dense reference for bvp._global_system."""
+    """Dense system of W_{j+1} = P_j W_j + f_j over K steps, inventories pinned at both ends."""
     K, m, _ = P.shape
     n = m // 2
     size = (K + 1) * m
@@ -210,89 +216,61 @@ def dense_global_system(P):
     return A
 
 
-@pytest.mark.parametrize("n, n_segments", [(3, 9), (10, 37)])
-def test_global_system_matches_block_reference(n, n_segments):
-    P = np.random.default_rng(n).normal(size=(n_segments, 2 * n, 2 * n))
-    P[n_segments // 2, -1, 0] = 0.0  # an exact zero stays a zero
-    ab, (kl, ku) = bvp._global_system(P)
-    A_ref = dense_global_system(P)
-    size = A_ref.shape[0]
-    assert (kl, ku) == (3 * n - 1, n) and ab.shape == (2 * kl + ku + 1, size)
-    i, j = np.indices(A_ref.shape)
-    in_band = (i - j <= kl) & (j - i <= ku)
-    A = np.zeros_like(A_ref)
-    A[in_band] = ab[(kl + ku + i - j)[in_band], j[in_band]]
-    assert np.array_equal(A, A_ref)  # so no entry of A_ref lies outside the band
-    assert not ab[:kl].any()  # gbsv's fill-in rows start empty
-    assert np.count_nonzero(ab) == np.count_nonzero(A_ref)  # nothing outside the matrix
+def kinked_drift(T, n_knots, seed):
+    # knots at random times, so most fall strictly inside intervals
+    rng = np.random.default_rng(seed)
+    ts = np.sort(np.concatenate([[0.0, T], rng.uniform(0.0, T, n_knots)]))
+    return DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
 
 
-@pytest.mark.parametrize("n, lam, T, n_steps, segments", [
-    (3, 1.0, 2.0, 40, "root N"),
-    (10, 0.05, 3.0, 37, "several"),
-    (3, 0.05, 3.0, 15, "one per interval"),
+@pytest.mark.parametrize("n, lam, T, n_steps", [
+    (3, 1.0, 2.0, 40),
+    (10, 0.05, 3.0, 37),
+    (3, 0.05, 3.0, 15),
 ])
-def test_multiple_shooting_matches_dense_node_system(n, lam, T, n_steps, segments):
+def test_solve_finite_matches_dense_node_system(n, lam, T, n_steps):
+    # the reference solves the exact interval map of M itself at every node,
+    # with no decoupling: X_0 = x0, Z_{k+1} = E Z_k + s_k, X_N = 0
     problem = make_problem(lam=lam, alphas=np.linspace(0.4, 1.6, n),
-                           x0=np.linspace(-1.0, 2.0, n), T=T)
-    M = bvp.assemble(problem)[0]
-    growth = np.max(np.linalg.eigvals(M).real)
-    ends = bvp._segment_ends(growth, T, n_steps)
-    lengths = np.diff(ends)
-    assert ends[0] == 0 and ends[-1] == n_steps
-    if segments == "root N":  # growth T within budget: ceil(sqrt(N)) intervals each
-        assert lengths.tolist() == [7, 7, 7, 7, 7, 5]
-    elif segments == "several":
-        assert lengths[0] > 1 and lengths[-1] < lengths[0]  # with a remainder
-    else:
-        assert np.all(lengths == 1)
-    E = expm(M * (T / n_steps))
-    steps = np.random.default_rng(n_steps).normal(size=(n_steps, 2 * n))
-    Z = bvp._multiple_shooting(M, E, T, ends, problem.x0, steps)
+                           x0=np.linspace(-1.0, 2.0, n), T=T, drift=kinked_drift(T, 9, n_steps))
+    M, u = bvp.assemble(problem)
+    E, steps = bvp._step_map(M, u, problem.market.drift, T, n_steps)
     A_ref = dense_global_system(np.broadcast_to(E, (n_steps, 2 * n, 2 * n)))
     rhs = np.concatenate([problem.x0, steps.ravel(), np.zeros(n)])
     want = np.linalg.solve(A_ref, rhs).reshape(n_steps + 1, 2 * n)
+    Z = node_states(problem, n_steps).T
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n_steps, layout", [
-    (40, "one segment"),
-    (41, "segment rule"),
-    (15, "one per interval"),
-])
-def test_lockstep_march_matches_sequential_march(n_steps, layout):
-    # the reference accumulates each segment's forcing and marches its
-    # interior one node at a time, segment after segment
+@pytest.mark.parametrize("n_steps", [15, 40, 41])
+def test_lockstep_march_matches_sequential_march(n_steps):
+    # blocks of ceil(sqrt(N)) steps: 4 + 4 + 4 + 3, five of 7 + 5, five of
+    # 7 + 6. The reference marches every node one after another, from 0 and
+    # from I for the end state, then again from the solved start
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0))
     M = bvp.assemble(problem)[0]
     m, n, T = M.shape[0], problem.n, problem.T
-    growth = np.max(np.linalg.eigvals(M).real)
-    ends = {
-        "one segment": np.array([0, n_steps]),
-        "segment rule": bvp._segment_ends(growth, T, n_steps),
-        "one per interval": np.arange(n_steps + 1),
-    }[layout]
-    if layout == "segment rule":  # prime N leaves a shorter last segment
-        assert np.diff(ends).tolist() == [7, 7, 7, 7, 7, 6]
-    E = expm(M * (T / n_steps))
+    D, C, k = bvp._split(M, T)
+    assert 0 < k < m  # both marches run
     steps = np.random.default_rng(n_steps).normal(size=(n_steps, m))
-    Z = bvp._multiple_shooting(M, E, T, ends, problem.x0, steps)
+    Ch = C * (T / n_steps)
+    G = expm(Ch)
+    Z = bvp._march(D, k, Ch, G, steps, problem.x0, n_steps)
 
-    props, forcing = [], []
-    for a, b in zip(ends[:-1], ends[1:]):
-        props.append(E if b - a == 1 else expm(M * (T * (b - a) / n_steps)))
-        acc = np.zeros(m)
-        for k in range(a, b):
-            acc = E @ acc + steps[k]
-        forcing.append(acc)
-    rhs = np.concatenate([problem.x0, *forcing, np.zeros(n)])
-    W = np.linalg.solve(dense_global_system(np.array(props)), rhs).reshape(-1, m)
-    want = np.empty_like(Z)
-    want[ends] = W
-    for a, b, z in zip(ends[:-1], ends[1:], W):
-        for k in range(a, b - 1):
-            z = E @ z + steps[k]
-            want[k + 1] = z
+    p, H = np.zeros(m), np.eye(m)
+    for s in steps:
+        p, H = G @ p + s, G @ H
+    # y_0 = (w_f(0), w_b(T)); w(0) = (y_0 forward, y_N backward), w(T) the rest
+    Pf, Pb = np.diag(np.arange(m) < k).astype(float), np.diag(np.arange(m) >= k).astype(float)
+    Dx = D[:n]
+    A = np.vstack([Dx @ (Pf + Pb @ H), Dx @ (Pf @ H + Pb)])
+    y = np.linalg.solve(A, np.concatenate([problem.x0 - Dx @ Pb @ p, -Dx @ Pf @ p]))
+    Y = [y]
+    for s in steps:
+        Y.append(G @ Y[-1] + s)
+    Y = np.array(Y)
+    w = np.hstack([Y[:, :k], Y[::-1, k:]])  # the backward part runs from node N down
+    want = w @ D.T
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -478,9 +456,8 @@ def test_residual_report_checks_the_strategy_horizon():
 
 
 def node_gap(problem, n_steps, factor):
-    """max|X_N - X_{factor N}| at the shared nodes over max(1, max|X_N|)."""
-    coarse = np.array([s.positions for s in solve(problem, n_steps).strategies])
-    fine = np.array([s.positions for s in solve(problem, factor * n_steps).strategies])
+    """max|Z_N - Z_{factor N}| at the shared nodes over max(1, max|Z_N|), rates included."""
+    coarse, fine = node_states(problem, n_steps), node_states(problem, factor * n_steps)
     return np.max(np.abs(coarse - fine[:, ::factor])) / max(1.0, np.max(np.abs(coarse)))
 
 
@@ -492,14 +469,13 @@ def test_sampled_drift_is_grid_independent(n_steps):
     ts = np.linspace(0.0, 2.0, 21)
     rough = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(alphas=(0.3, 1.1), drift=rough)
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
-    assert growth * problem.T <= bvp._SEGMENT_GROWTH  # one shooting segment
     assert node_gap(problem, n_steps, 50) <= 1e-12
 
 
 def test_knots_on_nodes_add_no_exponentials(monkeypatch):
     # T k / 40 misses the nodes j T / 400 by rounding for some k; such knots
-    # are on the nodes, so no interval splits
+    # are on the nodes, also as T - T k / 40 for the backward march, so no
+    # interval splits
     T = 1.3
     ts = np.array([T * k / 40 for k in range(40)] + [T])
     problem = make_problem(alphas=(0.3, 1.1), T=T, drift=DriftSpec.sampled(ts, np.sin(ts)))
@@ -507,7 +483,9 @@ def test_knots_on_nodes_add_no_exponentials(monkeypatch):
     real = bvp.expm
     monkeypatch.setattr(bvp, "expm", lambda A: shapes.append(A.shape) or real(A))
     solve(problem, 400)
-    assert shapes == [(6, 6), (4, 4)]  # the step's block exponential, e^{M T}
+    # the decoupled step's block exponential and e^{C L dt} of the 20-step
+    # blocks; a split interval would add one per piece
+    assert shapes == [(6, 6), (4, 4)]
 
 
 def test_stiff_sampled_drift_is_grid_independent():
@@ -516,9 +494,43 @@ def test_stiff_sampled_drift_is_grid_independent():
     drift = DriftSpec.sampled(ts, rng.uniform(-1.0, 1.0, ts.size))
     problem = make_problem(lam=0.02, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=8.0,
                            drift=drift)
-    growth = np.max(np.linalg.eigvals(bvp.assemble(problem)[0]).real)
-    assert growth * problem.T > bvp._SEGMENT_GROWTH  # several shooting segments
     assert node_gap(problem, 400, 4) <= 1e-12
+
+
+def test_very_stiff_equal_alpha_matches_closed_form():
+    # growth * dt ~ 5000: e^{M dt} overflows, e^{A_f dt} and e^{-A_b dt} do not
+    problem = make_problem(lam=1e-3, alphas=(0.8, 0.8, 0.8), x0=(1.0, 2.0, -1.0), T=2000.0)
+    sol = solve(problem, 400)
+    reference = closed_form.equal_alpha_finite(problem.market, problem.agents, 2000.0)
+    grid = sol.strategies[0].grid
+    tol = 1e-12 * np.max(np.abs(problem.x0))
+    for s, ref in zip(sol.strategies, reference):
+        assert np.max(np.abs(s.positions - ref.position(grid))) <= tol
+
+
+def test_very_stiff_constant_drift_is_grid_independent():
+    # growth * dt ~ 75000 at N = 400
+    problem = make_problem(lam=1e-4, alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), T=5000.0,
+                           drift=DriftSpec.constant(0.3))
+    assert node_gap(problem, 400, 10) <= 1e-11
+
+
+def test_expm_is_exact_on_close_triangular_diagonals():
+    # scipy's expm updates the squared diagonals of triangular input in closed
+    # form, which cancels here (error 1.3e-4); a similarity makes it dense
+    A = block_diag([[0.0, 0.0211, -0.7072], [0.0, -1.33e-15, -0.6196], [0.0, 0.0, -5.849]],
+                   [[-17.526]]) * 6.2566
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    want = Q.T @ expm(Q @ A @ Q.T) @ Q
+    assert np.max(np.abs(bvp._expm(A) - want)) <= 1e-13
+
+
+def test_risk_neutral_agent_on_a_long_horizon_is_grid_independent():
+    # a Schur block with diagonal entries 1e-15 apart; raw expm on it moved
+    # the nodes by 0.31 between N = 400 and 800
+    problem = make_problem(lam=0.28, gamma=0.96, sigma=0.48, alphas=(0.0, 1.85),
+                           x0=(-0.7, -0.4), T=1800.0)
+    assert node_gap(problem, 400, 2) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
