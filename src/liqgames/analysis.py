@@ -495,17 +495,24 @@ def monte_carlo_revenues(
         alpha = problem.agents[i].alpha
         mean = float(np.mean(revenues))
         centered_sq = (revenues - mean) ** 2
+        mean_sd = float(np.std(revenues, ddof=1))
         if alpha > 0:
-            utils = (1.0 - np.exp(-alpha * revenues)) / alpha
+            # utilities (1 - e) / alpha with e = e^{-alpha R} = m e/m, m the
+            # largest e: e/m <= 1, so its square cannot overflow where e^2 can
+            exponent = -alpha * revenues
+            peak = np.max(exponent)
+            m, scaled = float(np.exp(peak)), np.exp(exponent - peak)
+            cara_mean = (1.0 - m * float(np.mean(scaled))) / alpha
+            cara_sd = m * float(np.std(scaled, ddof=1)) / alpha
         else:
-            utils = revenues
+            cara_mean, cara_sd = mean, mean_sd
         results.append(MonteCarloResult(
             mean=mean,
             variance=float(np.sum(centered_sq) / (config.paths - 1)),
-            cara_mean=float(np.mean(utils)),
-            mean_se=float(np.std(revenues, ddof=1) / root_n),
+            cara_mean=cara_mean,
+            mean_se=mean_sd / root_n,
             variance_se=float(np.std(centered_sq, ddof=1) / root_n),
-            cara_se=float(np.std(utils, ddof=1) / root_n),
+            cara_se=cara_sd / root_n,
             truncation_time=trunc,
             tail_variance_bound=tails[i],
         ))

@@ -15,11 +15,13 @@ grid interval is exact: on a piece of length h where b is linear,
 with phi1 = int_0^h e^{M r} dr and phi2 = int_0^h e^{M r} (h - r) dr. One
 matrix exponential of the block-triangular [[M h, u h, 0], [0, 0, h],
 [0, 0, 0]] returns e^{M h}, phi1 u and phi2 u together (Van Loan,
-Computing integrals involving the matrix exponential, IEEE TAC 1978). An
-interval with drift sample points strictly inside it is split there, and its
-pieces are chained by their own e^{M h_p}, one small exponential per piece.
-So the discrete solution at the nodes does not depend on the grid, and each
-returned GridStrategy carries both blocks of it: inventories and rates.
+Computing integrals involving the matrix exponential, IEEE TAC 1978). The
+solve takes it of each decoupled part of M below, never of M itself, whose
+e^{M h} can overflow on a stiff grid. An interval with drift sample points
+strictly inside it is split there, and its pieces are chained by their own
+step, one small exponential per piece. So the discrete solution at the
+nodes does not depend on the grid, and each returned GridStrategy carries
+both blocks of it: inventories and rates.
 
 The solve decouples M's modes by the direction in which they decay (Ascher,
 Mattheij and Russell, Numerical Solution of Boundary Value Problems for
@@ -29,12 +31,12 @@ forward part marches from t = 0 and the backward part from t = T, on the
 drift reversed in time; neither grows past about e over the horizon,
 whatever the horizon or the grid step, and one 2n x 2n solve joins them (see
 _march). No eigenvector is formed. A singular 2n x 2n system, non-finite
-nodes or an overflowing exponential (only residual_report's e^{M h} can
-overflow) raise SingularShootingMatrix. Infinite horizons are solved in
-closed form (see closed_form).
+nodes or an overflowing exponential raise SingularShootingMatrix. Infinite
+horizons are solved in closed form (see closed_form).
 
-residual_report checks grid profiles against M's own interval map, which
-shares no decomposition with the solve, and exponential sums mode by mode.
+residual_report checks grid profiles on the solve's own decoupled interval
+map (see _decoupled), which it certifies to be M's, and exponential sums
+mode by mode.
 """
 from __future__ import annotations
 
@@ -79,13 +81,15 @@ def assemble(problem: Problem) -> Tuple[np.ndarray, np.ndarray]:
 class ResidualReport:
     """Optimality-condition residuals of a strategy profile.
 
-    relative = max_residual / scale is dimensionless. For a grid profile,
-    max_residual sums the one-step defects over the n_probes = N intervals
-    and scale is the largest entry of Z_{k+1}, E Z_k or s_k (see
-    residual_report); for exponential sums, max_residual bounds the
-    Euler-Lagrange defect over the whole horizon from its n_probes modes,
-    and scale bounds each of the equation's five terms the same way.
-    Boundary errors are absolute.
+    relative is dimensionless. For a grid profile, max_residual sums the
+    one-step defects of the decoupled node states y_j over the n_probes = N
+    intervals, scale is the largest entry of y_j, G y_j or s_j, and relative
+    is the larger of max_residual / scale and the relative error of the
+    split that decouples them (see residual_report). For exponential sums,
+    relative = max_residual / scale: max_residual bounds the Euler-Lagrange
+    defect over the whole horizon from its n_probes modes, and scale bounds
+    each of the equation's five terms the same way. Boundary errors are
+    absolute.
     """
 
     max_residual: float
@@ -239,24 +243,36 @@ def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
     except np.linalg.LinAlgError:
         raise SingularShootingMatrix("boundary system is singular") from None
     Y = np.empty((n_steps + 1, m))
-    Y[ends] = chain[:, :m] @ np.append(y0, 1.0)
-    cur = Y[starts]
-    for i in range(L - 1):
-        cur = advance(i, cur)[:len(range(i + 1, n_steps, L))]
-        Y[i + 1::L][:len(cur)] = cur
-    Y[:, k:] = Y[::-1, k:]  # the backward part at node j is y_{N-j}
-    Z = Y @ D.T
+    # nodes past the float range are caught below, as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y[ends] = chain[:, :m] @ np.append(y0, 1.0)
+        cur = Y[starts]
+        for i in range(L - 1):
+            cur = advance(i, cur)[:len(range(i + 1, n_steps, L))]
+            Y[i + 1::L][:len(cur)] = cur
+        Y[:, k:] = Y[::-1, k:]  # the backward part at node j is y_{N-j}
+        Z = Y @ D.T
     if not np.all(np.isfinite(Z)):
         raise SingularShootingMatrix("boundary solve produced non-finite values")
     return Z
 
 
-def _step_map(M: np.ndarray, u: np.ndarray, drift: DriftSpec, T: float, n_steps: int):
-    """Exact interval map Z_{k+1} = E Z_k + s_k: E and s (None for zero drift)."""
-    E, p1, p2 = _propagators(M, u, T / n_steps)
-    if drift.is_zero:
-        return E, None
-    return E, _forcing_steps(M, u, drift, T, n_steps, p1, p2)
+def _decoupled(problem: Problem, n_steps: int):
+    """M, D, C, k and the decoupled interval map y_{j+1} = G y_j + s_j (see _march).
+
+    s holds the exact forcing of every interval, None for zero drift.
+    """
+    T, drift = problem.T, problem.market.drift
+    M, u = assemble(problem)
+    D, C, k = _split(M, T)
+    g = np.linalg.solve(D, u)
+    g[k:] *= -1.0  # the backward part runs in s = T - t
+    G, p1, p2 = _propagators(C, g, T / n_steps)
+    steps = None if drift.is_zero else np.hstack([
+        _forcing_steps(C[:k, :k], g[:k], drift, T, n_steps, p1[:k], p2[:k]),
+        _forcing_steps(C[k:, k:], g[k:], drift, T, n_steps, p1[k:], p2[k:], reverse=True),
+    ])
+    return M, D, C, k, G, steps
 
 
 def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
@@ -274,16 +290,8 @@ def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
         raise HorizonMismatch("the grid solver needs a finite horizon")
     if n_steps < 8:
         raise InvalidParam("n_steps", "need at least 8 intervals")
-    n, T, x0, drift = problem.n, problem.T, problem.x0, problem.market.drift
-    M, u = assemble(problem)
-    D, C, k = _split(M, T)
-    g = np.linalg.solve(D, u)
-    g[k:] *= -1.0  # the backward part runs in s = T - t
-    G, p1, p2 = _propagators(C, g, T / n_steps)
-    steps = None if drift.is_zero else np.hstack([
-        _forcing_steps(C[:k, :k], g[:k], drift, T, n_steps, p1[:k], p2[:k]),
-        _forcing_steps(C[k:, k:], g[k:], drift, T, n_steps, p1[k:], p2[k:], reverse=True),
-    ])
+    n, T, x0 = problem.n, problem.T, problem.x0
+    _, D, C, k, G, steps = _decoupled(problem, n_steps)
     Z = _march(D, k, C * (T / n_steps), G, steps, x0, n_steps)
     X = Z[:, :n].copy()
     defect = float(np.max(np.abs(X[-1])))
@@ -311,12 +319,19 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
 
     A profile holding grid strategies is checked on their shared grid of N
     intervals, with exponential-sum members sampled at its nodes: the node
-    states Z_k = (X_k, X_k') must satisfy the solver's exact interval map
-    (see _step_map), so positions and rates are certified together. The
-    report reads sum_k max|Z_{k+1} - E Z_k - s_k| with n_probes = N: the
-    discrete L1 norm of the defect, which the boundary problem's stability
-    constant turns into a bound on the profile's error. The largest single
-    defect would read a forcing error at its O(dt) size per step.
+    states Z_j = (X_j, X_j') must satisfy the solver's exact interval map,
+    so positions and rates are certified together. The map is read where
+    the solve marches it (see _decoupled and _march): y_j stacks the
+    forward rows of D^-1 Z_j over the backward rows of D^-1 Z_{N-j}, and
+    y_{j+1} = G y_j + s_j, with no step growing past about e. The report
+    reads sum_j max|y_{j+1} - G y_j - s_j| with n_probes = N: the discrete
+    L1 norm of the defect, which the boundary problem's stability constant
+    turns into a bound on the profile's error. The largest single defect
+    would read a forcing error at its O(dt) size per step. scale is the
+    largest entry of any y_j (y_0 included, so x0 counts), G y_j or s_j.
+    The map is M's own only if M D = D blockdiag(A_f, A_b), and a basis
+    that fails it would pass the defect as it passed the solve; so relative
+    is also at least max|M D - D blockdiag(A_f, A_b)| / (max|M| max|D|).
 
     A profile of exponential sums is checked mode by mode against the
     Euler-Lagrange equation
@@ -337,15 +352,21 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     n = problem.n
     t = _check_profile(strategies, problem)
     if t is not None:
-        # node states as C-ordered rows: the einsum below sums in that layout
+        # node states as C-ordered rows: the einsums below sum in that layout
         Z = np.vstack(_sample_profile(strategies, t)).T.copy()
-        E, steps = _step_map(*assemble(problem), problem.market.drift, problem.T, t.size - 1)
-        # numpy's own loop, not BLAS: right after expm, a threaded BLAS product
+        M, D, C, k, G, steps = _decoupled(problem, t.size - 1)
+        # numpy's own loops, not BLAS: right after expm, a threaded BLAS product
         # of this size took about 5 ms at n = 20 on 2 CPUs, this loop 0.4 ms
-        mapped = np.einsum("ij,kj->ki", E, Z[:-1])
+        Y = np.einsum("ij,kj->ki", np.linalg.inv(D), Z)
+        Y[:, k:] = Y[::-1, k:]  # y_j holds the backward part at node N - j
+        mapped = np.einsum("ij,kj->ki", G, Y[:-1])
         forced = np.zeros_like(mapped) if steps is None else steps
-        max_res = float(np.sum(np.max(np.abs(Z[1:] - mapped - forced), axis=1)))
-        scale = max(float(np.max(np.abs(a))) for a in (Z[1:], mapped, forced))
+        max_res = float(np.sum(np.max(np.abs(Y[1:] - mapped - forced), axis=1)))
+        scale = max(float(np.max(np.abs(a))) for a in (Y, mapped, forced))
+        # the map is M's own only where M D = D blockdiag(A_f, A_b)
+        C[k:, k:] *= -1.0
+        split = np.einsum("ij,jk->ik", M, D) - np.einsum("ij,jk->ik", D, C)
+        split_rel = float(np.max(np.abs(split)) / (np.max(np.abs(M)) * np.max(np.abs(D))))
         start_err = float(np.max(np.abs(Z[0, :n] - problem.x0)))
         end_err = float(np.max(np.abs(Z[-1, :n])))
         n_probes = t.size - 1
@@ -376,10 +397,11 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
         start_err = float(np.max(np.abs((C * at_start).sum(axis=1) - problem.x0)))
         end_err = float(np.max(np.abs((C * at_end).sum(axis=1))))
         n_probes = r.size
+        split_rel = 0.0
     return ResidualReport(
         max_residual=max_res,
         scale=scale,
-        relative=max_res / scale if scale > 0 else 0.0,
+        relative=max(max_res / scale if scale > 0 else 0.0, split_rel),
         boundary_start=start_err,
         boundary_end=end_err,
         n_probes=n_probes,

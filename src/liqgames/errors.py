@@ -46,9 +46,11 @@ class DegenerateEigenbasis(LiquidationGameError):
 class SingularShootingMatrix(LiquidationGameError):
     """The finite-horizon boundary solve is singular or not finite.
 
-    Raised by the grid solver when the 2n x 2n system that joins its forward
-    and backward marches is singular or its nodes are not finite, and when a
-    matrix exponential overflows (residual_report's e^{M h} on a stiff grid).
+    Raised by the grid solver, and by residual_report's check of a grid
+    profile, when the split of M's spectrum fails or a matrix exponential
+    overflows; and by the solver when the 2n x 2n system that joins its
+    forward and backward marches is singular or its nodes are not finite
+    (inventories near the float limit overflow there).
     """
 
 

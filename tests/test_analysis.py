@@ -404,6 +404,22 @@ def test_monte_carlo_matches_moments_within_3se():
         assert mc.truncation_time is None
 
 
+def test_monte_carlo_cara_spread_survives_large_losses():
+    # over T = 0.01 the impact cost dominates: revenues near -358 and -658,
+    # where e^{-alpha R} is about 1e229 and its square is past the float range
+    problem = two_agent_problem(s0=0.0, horizon=Horizon.finite(0.01))
+    strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 0.01)
+    cfg = analysis.MonteCarloConfig(paths=200, time_steps=64)
+    for i, mc in enumerate(analysis.monte_carlo_revenues(strats, problem, cfg)):
+        res = analysis.mean_variance(strats[i], [strats[1 - i]], problem, i)
+        assert mc.mean < -300.0
+        assert abs(mc.cara_mean - res.cara_value) <= 3.0 * mc.cara_se
+        # the revenue spread is small, so u = (1 - e^{-alpha R}) / alpha
+        # spreads about |u| alpha times as much as R
+        ratio = mc.cara_se / (abs(mc.cara_mean) * 0.8 * mc.mean_se)
+        assert abs(ratio - 1.0) <= 0.1
+
+
 def test_monte_carlo_reruns_bit_identical():
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)

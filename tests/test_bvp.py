@@ -234,7 +234,8 @@ def test_solve_finite_matches_dense_node_system(n, lam, T, n_steps):
     problem = make_problem(lam=lam, alphas=np.linspace(0.4, 1.6, n),
                            x0=np.linspace(-1.0, 2.0, n), T=T, drift=kinked_drift(T, 9, n_steps))
     M, u = bvp.assemble(problem)
-    E, steps = bvp._step_map(M, u, problem.market.drift, T, n_steps)
+    E, p1, p2 = bvp._propagators(M, u, T / n_steps)
+    steps = bvp._forcing_steps(M, u, problem.market.drift, T, n_steps, p1, p2)
     A_ref = dense_global_system(np.broadcast_to(E, (n_steps, 2 * n, 2 * n)))
     rhs = np.concatenate([problem.x0, steps.ravel(), np.zeros(n)])
     want = np.linalg.solve(A_ref, rhs).reshape(n_steps + 1, 2 * n)
@@ -321,6 +322,23 @@ def test_residual_detects_corruption(corrupt):
     dirty = bvp.residual_report(corrupt(list(sol.strategies)), problem).relative
     assert clean < 1e-12
     assert dirty > 1e-6
+
+
+def test_grid_residual_certifies_the_split(monkeypatch):
+    # the check reads the nodes in the solver's own decoupled coordinates, so
+    # a basis that M does not leave invariant, shared by solve and check,
+    # leaves no defect at the nodes: the split itself must be certified
+    problem = make_problem(alphas=(0.4, 1.3))
+    real = bvp._split
+
+    def skewed(M, T):
+        D, C, k = real(M, T)
+        return D + 1e-6 * np.max(np.abs(D)), C, k
+
+    monkeypatch.setattr(bvp, "_split", skewed)
+    report = bvp.residual_report(solve(problem, 400).strategies, problem)
+    assert report.max_residual / report.scale < 1e-12
+    assert report.relative > 1e-7
 
 
 def test_grid_residual_reads_every_interval():

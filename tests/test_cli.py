@@ -214,11 +214,11 @@ def test_output_collision_guards(tmp_path, problem_file):
 
 
 def test_solver_failure_maps_to_exit_2(tmp_path):
-    # growth * dt is about 1000 on this grid, so the residual check's e^{M dt}
-    # overflows: a typed solver error, not a RuntimeWarning, and nothing is written
-    market = MarketParams(lam=0.001, gamma=1.0, sigma=1.0, s0=10.0)
-    agents = (AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.0), AgentSpec(-1.0, 1.8))
-    problem = validate_problem(market, agents, Horizon.finite(400.0))
+    # inventories at the float limit: the marched nodes overflow, a typed
+    # solver error, not a RuntimeWarning, and nothing is written
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = (AgentSpec(1e308, 0.5), AgentSpec(1e308, 1.5))
+    problem = validate_problem(market, agents, Horizon.finite(0.01))
     src = tmp_path / "overflow.json"
     dump_problem(problem, str(src))
     out = tmp_path / "r.csv"

@@ -10,7 +10,8 @@ grid route.
 
 The grid solver's node values do not depend on the grid (the drift's forcing
 is integrated exactly), so over random finite games, degenerate ones
-included, its nodes at N = 400 and N = 800 must agree to rounding.
+included, its nodes at N = 400 and N = 800 must agree to rounding, and they
+must pass residual_report's check at 1e-10 on every horizon.
 """
 
 import numpy as np
@@ -106,7 +107,10 @@ def finite_games(draw):
                            min_size=n, max_size=n))
     if draw(st.integers(min_value=1, max_value=4)) == 1:
         alphas = [alphas[0]] * n
-    x0 = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n))
+    # no subnormal x0: a path that small has no exact float nodes, so every
+    # interval's defect is as large as the path and the relative residual is 1
+    x0 = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False),
+                       min_size=n, max_size=n))
     T = draw(log_uniform(0.01, 2000.0))
     kind = draw(st.sampled_from(["zero", "constant", "sampled"]))
     if kind == "zero":
@@ -134,10 +138,23 @@ def node_states(problem, n_steps):
     return np.array([s.positions for s in strategies] + [s.rates for s in strategies])
 
 
+def finite_problem(lam, gamma, sigma, agents, T, drift):
+    market = MarketParams(lam=lam, gamma=gamma, sigma=sigma, s0=10.0, drift=drift)
+    return validate_problem(market, [AgentSpec(x, a) for x, a in agents], Horizon.finite(T))
+
+
 # multiple shooting's banded system came out singular on this one
-LONG_STIFF = validate_problem(
-    MarketParams(lam=0.008, gamma=0.5, sigma=0.6, s0=10.0, drift=DriftSpec.constant(0.3)),
-    [AgentSpec(1.0, 0.4), AgentSpec(2.0, 1.0), AgentSpec(-1.0, 1.6)], Horizon.finite(500.0))
+LONG_STIFF = finite_problem(0.008, 0.5, 0.6, [(1.0, 0.4), (2.0, 1.0), (-1.0, 1.6)], 500.0,
+                            DriftSpec.constant(0.3))
+# growth * dt from about 1000 to 75000 at N = 400: e^{M dt} overflows there
+STIFF_AGENTS = [(1.0, 0.5), (2.0, 1.0), (-1.0, 1.8)]
+STIFF = finite_problem(1e-3, 1.0, 1.0, STIFF_AGENTS, 400.0, DriftSpec.zero())
+STIFFER = finite_problem(1e-3, 1.0, 1.0, STIFF_AGENTS, 2000.0, DriftSpec.constant(0.3))
+STIFFEST = finite_problem(1e-4, 1.0, 1.0, STIFF_AGENTS, 5000.0, DriftSpec.constant(0.3))
+# exact nodes to 8e-17, on which an e^{M dt} check read a relative residual of 1.5
+RISK_NEUTRAL_SAMPLED = finite_problem(
+    0.01, 0.7, 0.0, [(1.0, 0.0), (2.0, 0.0)], 300.0,
+    DriftSpec.sampled(np.array([0.0, 100.0, 300.0]), np.array([0.1, -0.2, 0.3])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,3 +164,15 @@ def test_grid_solver_nodes_do_not_depend_on_the_grid(problem):
     coarse, fine = node_states(problem, 400), node_states(problem, 800)
     gap = np.max(np.abs(coarse - fine[:, ::2]))
     assert gap <= 1e-10 * max(1.0, float(np.max(np.abs(coarse))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=finite_games())
+@example(problem=LONG_STIFF)
+@example(problem=STIFF)
+@example(problem=STIFFER)
+@example(problem=STIFFEST)
+@example(problem=RISK_NEUTRAL_SAMPLED)
+def test_grid_solver_nodes_pass_the_residual_check(problem):
+    report = bvp.residual_report(bvp.solve_finite(problem, 400).strategies, problem)
+    assert report.relative <= 1e-10
