@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import bvp, closed_form
-from .errors import GridMismatch, InvalidParam, LiquidationGameError, NeverReached
+from .errors import GridMismatch, InvalidParam, LiquidationGameError, MomentOverflow, NeverReached
 from .model import (
     AgentSpec,
     ExpSumStrategy,
@@ -249,7 +249,10 @@ def _result_from_integrals(
 ) -> EvaluationResult:
     m = problem.market
     alpha = problem.agents[agent_index].alpha
-    const = y0 * m.s0 - 0.5 * m.gamma * y0**2
+    try:
+        const = y0 * m.s0 - 0.5 * m.gamma * y0**2
+    except OverflowError:  # y0**2 raises where y0 * y0 would read inf
+        const = math.nan
     expected = (
         const
         + i_drift
@@ -259,11 +262,18 @@ def _result_from_integrals(
     )
     var = m.sigma**2 * i_pos_sq
     mv = expected - 0.5 * alpha * var
+    if not all(map(math.isfinite, (const, expected, var, mv))):
+        raise MomentOverflow(f"revenue moments of agent {agent_index + 1} overflow the float range")
+    try:
+        cara = _cara_from_moments(alpha, expected, var)
+    except OverflowError:  # e^{-alpha E + alpha^2 V / 2} past the float range
+        raise MomentOverflow(f"the CARA value of agent {agent_index + 1} overflows the float range"
+                             ) from None
     return EvaluationResult(
         expected_revenue=expected,
         variance=var,
         mean_variance_value=mv,
-        cara_value=_cara_from_moments(alpha, expected, var),
+        cara_value=cara,
         constant_part=const,
     )
 
@@ -333,8 +343,10 @@ def mean_variance_profile(profile: Sequence[Strategy], problem: Problem) -> list
     t = _check_profile(profile, problem)
     if t is None:
         b0 = _exp_sum_drift(problem)
-        G, int_x, x_start = _mode_gram(profile, problem.T)
-        pos_other, rate_other, rate_sq, pos_sq = _block_sums(G)
+        # products past the float range are caught in _result_from_integrals, as a typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, int_x, x_start = _mode_gram(profile, problem.T)
+            pos_other, rate_other, rate_sq, pos_sq = _block_sums(G)
         return [
             _result_from_integrals(
                 problem,
@@ -401,18 +413,20 @@ def mean_variance_sampled(
     b = np.asarray(problem.market.drift(t), dtype=float) * np.ones_like(t)
     total_rate = rates.sum(axis=0)
     results = []
-    for i, (xi, vi) in enumerate(zip(positions, rates)):
-        s_other = total_rate - vi
-        results.append(_result_from_integrals(
-            problem,
-            i,
-            float(xi[0]),
-            float(w @ (xi * b)),
-            float(w @ (xi * s_other)),
-            float(w @ (vi * s_other)),
-            float(w @ (vi * vi)),
-            float(w @ (xi * xi)),
-        ))
+    # products past the float range are caught in _result_from_integrals, as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (xi, vi) in enumerate(zip(positions, rates)):
+            s_other = total_rate - vi
+            results.append(_result_from_integrals(
+                problem,
+                i,
+                float(xi[0]),
+                float(w @ (xi * b)),
+                float(w @ (xi * s_other)),
+                float(w @ (vi * s_other)),
+                float(w @ (vi * vi)),
+                float(w @ (xi * xi)),
+            ))
     return results
 
 
@@ -581,21 +595,25 @@ def effective_liquidation_time(strategy: Strategy, fraction: float = 0.99) -> fl
     return float(hi)
 
 
+def _bvp_route(problem: Problem) -> bool:
+    """Whether compute_equilibrium solves problem with bvp rather than a closed form.
+
+    Every finite horizon does, except zero drift with equal alphas and
+    alpha sigma^2 > 0 (closed_form.equal_alpha_finite).
+    """
+    m = problem.market
+    return problem.horizon.is_finite and not (
+        m.drift.is_zero and problem.equal_alpha and float(problem.alphas[0]) * m.sigma**2 > 0.0
+    )
+
+
 def compute_equilibrium(problem: Problem, grid_steps: int = 400):
     """Solve the game, preferring closed forms; returns (strategies, route)."""
     m = problem.market
-    if problem.horizon.is_finite:
-        usable_closed = (
-            m.drift.is_zero
-            and problem.equal_alpha
-            and float(problem.alphas[0]) * m.sigma**2 > 0.0
-        )
-        if usable_closed:
-            return (
-                closed_form.equal_alpha_finite(m, problem.agents, problem.T),
-                "closed_form",
-            )
+    if _bvp_route(problem):
         return list(bvp.solve_finite(problem, grid_steps).strategies), "bvp"
+    if problem.horizon.is_finite:
+        return closed_form.equal_alpha_finite(m, problem.agents, problem.T), "closed_form"
     if problem.equal_alpha:
         return closed_form.equal_alpha_infinite(m, problem.agents), "closed_form"
     first, second, _ = closed_form.two_player_infinite(
@@ -643,15 +661,19 @@ def parameter_scan(
     parameter: str,
     values,
     probe: Tuple[int, float],
-    grid_steps: int = 400,
 ):
     """Recompute the equilibrium along one parameter axis and probe it.
 
     probe is (agent_index, time); the probe value is that agent's inventory.
     Scanning "n" keeps agent 1 fixed and splits the remaining aggregate
-    inventory evenly; "alpha_sigma2" sets one common risk aversion. Failures
-    at individual points, including a probe time outside a point's horizon
-    (OutOfDomain), are recorded in the status column, not raised.
+    inventory evenly; "alpha_sigma2" sets one common risk aversion. A point
+    on a closed-form route (see compute_equilibrium) is probed on its
+    closed form. A point on the bvp route is solved on one interval and
+    probed on bvp's continuous solution (DecoupledSolution.positions),
+    exact at every t: the forcing of a sampled drift is chained over its
+    sample points, so no grid is needed. Failures at individual points,
+    including a probe time outside a point's horizon (OutOfDomain), are
+    recorded in the status column, not raised.
     """
     if parameter not in _SCAN_PARAMS:
         raise InvalidParam("parameter", f"must be one of {_SCAN_PARAMS}")
@@ -662,8 +684,12 @@ def parameter_scan(
             p2 = _scan_problem(problem, parameter, float(v))
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
-            strategies, _ = compute_equilibrium(p2, grid_steps)
-            probe_value = float(strategies[agent_index].position(t_probe))
+            if _bvp_route(p2):
+                inventories = bvp.solve_decoupled(p2, 1).positions(t_probe)
+                probe_value = float(inventories[agent_index])
+            else:
+                strategies, _ = compute_equilibrium(p2)
+                probe_value = float(strategies[agent_index].position(t_probe))
             out.append(ScanResult(value=float(v), probe_value=probe_value, status="ok"))
         except LiquidationGameError as exc:
             out.append(

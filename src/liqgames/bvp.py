@@ -34,6 +34,11 @@ _march). No eigenvector is formed. A singular 2n x 2n system, non-finite
 nodes or an overflowing exponential raise SingularShootingMatrix. Infinite
 horizons are solved in closed form (see closed_form).
 
+The solution is exact between nodes as well (DecoupledSolution.positions),
+and the forcing of each interval is chained over the drift's sample points
+inside it, so every drift needs only one interval: parameter_scan probes
+it so. solve_finite builds its node strategies from the same solve.
+
 residual_report checks grid profiles on the solve's own decoupled interval
 map (see _decoupled), which it certifies to be M's, and exponential sums
 mode by mode.
@@ -52,13 +57,15 @@ from scipy.linalg.lapack import dgees, dtrsen
 from scipy.sparse.linalg import splu
 
 from .errors import HorizonMismatch, InvalidParam, SingularShootingMatrix
-from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_drift, _mode_table,
-                    _sample_profile, system_matrix)
+from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_drift, _in_domain,
+                    _mode_table, _sample_profile, system_matrix)
 
 __all__ = [
     "BvpSolution",
+    "DecoupledSolution",
     "ResidualReport",
     "assemble",
+    "solve_decoupled",
     "solve_finite",
     "residual_report",
 ]
@@ -139,34 +146,50 @@ def _propagators(M: np.ndarray, u: np.ndarray, h: float):
     return F[:m, :m], F[:m, m], F[:m, m + 1]
 
 
+def _forcing(C: np.ndarray, g: np.ndarray, at, knots: np.ndarray, lo: float,
+             hi: float) -> np.ndarray:
+    """Exact variation-of-constants integral of at(t) g over [lo, hi], lo < hi.
+
+    at must be linear between the knots that lie strictly inside (lo, hi):
+    each piece between them takes its own step (_propagators), chained from
+    lo to hi.
+    """
+    cuts = np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+    bc = at(cuts)
+    f = np.zeros(C.shape[0])
+    for h, b_a, db in zip(np.diff(cuts), bc[:-1], np.diff(bc)):
+        E_p, p1_p, p2_p = _propagators(C, g, h)
+        f = E_p @ f + p1_p * b_a + p2_p * (db / h)
+    return f
+
+
+def _knots(drift: DriftSpec, T: float, reverse: bool = False) -> np.ndarray:
+    """The drift's sample points in increasing order, as T - t with reverse."""
+    if drift.kind != "sampled":
+        return np.empty(0)
+    return np.unique(T - drift.grid) if reverse else drift.grid
+
+
 def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2,
                    reverse: bool = False) -> np.ndarray:
     """Exact variation-of-constants integral of b(t) u over every interval.
 
     p1, p2 are phi1 u and phi2 u at the grid step. Intervals holding drift
-    sample points strictly inside are recomputed piece by piece. With
-    reverse, the drift is b(T - s) on the same grid of s.
+    sample points strictly inside are recomputed piece by piece (_forcing).
+    With reverse, the drift is b(T - s) on the same grid of s.
     """
     dt = T / n_steps
     t = np.linspace(0.0, T, n_steps + 1)
     at = (lambda s: drift(T - s)) if reverse else drift
     b = at(t)
     steps = np.outer(b[:-1], p1) + np.outer(np.diff(b) / dt, p2)
-    if drift.kind != "sampled":
-        return steps
-    grid = np.unique(T - drift.grid) if reverse else drift.grid
+    grid = _knots(drift, T, reverse)
     pos = grid / dt
     inside = (grid > 0.0) & (grid < T) & (np.abs(pos - np.round(pos)) > _KNOT_SNAP)
     knots = grid[inside]
     owner = np.floor(pos[inside]).astype(int)
     for k in np.unique(owner):
-        cuts = np.concatenate([[t[k]], knots[owner == k], [t[k + 1]]])
-        bc = at(cuts)
-        step = np.zeros(M.shape[0])
-        for h, b_a, db in zip(np.diff(cuts), bc[:-1], np.diff(bc)):
-            E_p, p1_p, p2_p = _propagators(M, u, h)
-            step = E_p @ step + p1_p * b_a + p2_p * (db / h)
-        steps[k] = step
+        steps[k] = _forcing(M, u, at, knots[owner == k], t[k], t[k + 1])
     return steps
 
 
@@ -201,15 +224,16 @@ def _split(M: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray, int]:
 
 def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
            steps: Optional[np.ndarray], x0, n_steps: int) -> np.ndarray:
-    """Node states Z_0..Z_N from the decoupled marches and one 2n x 2n solve.
+    """Node states w_0..w_N of w = D^-1 Z from the decoupled marches and one 2n x 2n solve.
 
-    y_j stacks the first k rows of w = D^-1 Z (forward) at node j over the
-    rest (backward) at node N - j, so y_{j+1} = G y_j + s_j, G = e^{Ch}. On
+    y_j stacks the first k rows of w (forward) at node j over the rest
+    (backward) at node N - j, so y_{j+1} = G y_j + s_j, G = e^{Ch}. On
     blocks of L = ceil(sqrt(N)) steps (the last takes the rest), mapped by
     e^{Ch L} (G^L's squarings lose digits), the forcing is summed and then
     the nodes marched in lockstep: L vectorised steps, not N. Block ends
     chained from 0 and from I give y_N = H y_0 + p; X(0) = x0 and X(T) = 0
-    fix y_0 = (w_f(0), w_b(T)).
+    fix y_0 = (w_f(0), w_b(T)). Nodes past the float range come back
+    non-finite, without a warning.
     """
     m = G.shape[0]
     L = math.isqrt(n_steps - 1) + 1
@@ -219,7 +243,7 @@ def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
     blocks = np.zeros((starts.size, m + 1, m + 1))
     blocks[:, m, m] = 1.0
     for length in set(lengths.tolist()):
-        blocks[lengths == length, :m, :m] = _expm(Ch * length)
+        blocks[lengths == length, :m, :m] = G if length == 1 else _expm(Ch * length)
 
     def advance(i: int, Y: np.ndarray) -> np.ndarray:
         # step i of every block that has one (only the last can be shorter),
@@ -243,23 +267,20 @@ def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
     except np.linalg.LinAlgError:
         raise SingularShootingMatrix("boundary system is singular") from None
     Y = np.empty((n_steps + 1, m))
-    # nodes past the float range are caught below, as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         Y[ends] = chain[:, :m] @ np.append(y0, 1.0)
         cur = Y[starts]
         for i in range(L - 1):
             cur = advance(i, cur)[:len(range(i + 1, n_steps, L))]
             Y[i + 1::L][:len(cur)] = cur
-        Y[:, k:] = Y[::-1, k:]  # the backward part at node j is y_{N-j}
-        Z = Y @ D.T
-    if not np.all(np.isfinite(Z)):
-        raise SingularShootingMatrix("boundary solve produced non-finite values")
-    return Z
+    Y[:, k:] = Y[::-1, k:]  # the backward part at node j is y_{N-j}
+    return Y
 
 
 def _decoupled(problem: Problem, n_steps: int):
-    """M, D, C, k and the decoupled interval map y_{j+1} = G y_j + s_j (see _march).
+    """M, D, C, k, g and the decoupled interval map y_{j+1} = G y_j + s_j (see _march).
 
+    g = D^-1 u with its backward rows negated drives the decoupled forcing;
     s holds the exact forcing of every interval, None for zero drift.
     """
     T, drift = problem.T, problem.market.drift
@@ -272,33 +293,111 @@ def _decoupled(problem: Problem, n_steps: int):
         _forcing_steps(C[:k, :k], g[:k], drift, T, n_steps, p1[:k], p2[:k]),
         _forcing_steps(C[k:, k:], g[k:], drift, T, n_steps, p1[k:], p2[k:], reverse=True),
     ])
-    return M, D, C, k, G, steps
+    return M, D, C, k, g, G, steps
+
+
+@dataclass(frozen=True, eq=False)
+class DecoupledSolution:
+    """The finite-horizon equilibrium on the solve's decoupled basis.
+
+    grid holds the march's nodes, and W and Z the states w and Z = D w at
+    each (every agent's inventory, then every agent's rate). C =
+    blockdiag(A_f, -A_b) and g drive w: the first k rows forward in t, the
+    rest backward in T - t (see _split and _decoupled).
+    """
+
+    grid: np.ndarray
+    W: np.ndarray
+    Z: np.ndarray
+    D: np.ndarray
+    C: np.ndarray
+    k: int
+    g: np.ndarray
+    drift: DriftSpec
+
+    def positions(self, t: float) -> np.ndarray:
+        """Every agent's inventory at the time t, exact between nodes to rounding.
+
+        On the interval [a, b] holding t, the forward part is e^{A_f (t - a)}
+        w_f(a) plus the exact forcing over [a, t], and the backward part
+        e^{-A_b (b - t)} w_b(b) plus its forcing over [b, t], run in T - t;
+        neither step grows past about e, and one exponential of the scaled C
+        gives both. t = 0 returns the solved nodes' snapped x0 and t = T
+        exactly 0.0, as solve_finite does; a time before 0 or past T raises
+        OutOfDomain, as for every strategy type.
+        """
+        grid, k, C, g, drift = self.grid, self.k, self.C, self.g, self.drift
+        T = float(grid[-1])
+        t = float(_in_domain(t, T))
+        n = self.Z.shape[1] // 2
+        if t == 0.0:
+            return self.Z[0, :n].copy()
+        if t >= T:
+            return np.zeros(n)
+        j = int(np.searchsorted(grid, t, side="right")) - 1
+        a, b = float(grid[j]), float(grid[j + 1])
+        Cs = C.copy()
+        Cs[:k] *= t - a
+        Cs[k:] *= b - t
+        w = _expm(Cs) @ np.concatenate([self.W[j, :k], self.W[j + 1, k:]])
+        if not drift.is_zero:
+            if t > a:
+                w[:k] += _forcing(C[:k, :k], g[:k], drift, _knots(drift, T), a, t)
+            w[k:] += _forcing(C[k:, k:], g[k:], lambda s: drift(T - s),
+                              _knots(drift, T, reverse=True), T - b, T - t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.D[:n] @ w
+        if not np.all(np.isfinite(x)):
+            raise SingularShootingMatrix("boundary solve produced non-finite values")
+        return x
+
+
+def solve_decoupled(problem: Problem, n_steps: int) -> DecoupledSolution:
+    """The finite-horizon equilibrium marched on n_steps >= 1 intervals.
+
+    The node states are exact up to rounding and the conditioning of the
+    boundary problem on any grid (see the module docstring); the grid only
+    places the nodes. With n_steps = 1 the march is one boundary
+    exponential and one 2n x 2n solve. Inventories snap to exactly x0 at
+    t = 0, not at T: solve_finite records the terminal defect first.
+    """
+    if not problem.horizon.is_finite:
+        raise HorizonMismatch("the grid solver needs a finite horizon")
+    if n_steps < 1:
+        raise InvalidParam("n_steps", "need at least one interval")
+    T, n = problem.T, problem.n
+    _, D, C, k, g, G, steps = _decoupled(problem, n_steps)
+    W = _march(D, k, C * (T / n_steps), G, steps, problem.x0, n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = W @ D.T
+    if not np.all(np.isfinite(Z)):
+        raise SingularShootingMatrix("boundary solve produced non-finite values")
+    Z[0, :n] = problem.x0
+    grid = np.linspace(0.0, T, n_steps + 1)
+    return DecoupledSolution(grid=grid, W=W, Z=Z, D=D, C=C, k=k, g=g, drift=problem.market.drift)
 
 
 def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
     """Numerical equilibrium of a finite-horizon problem on n_steps intervals.
 
-    The drift's forcing is integrated exactly over every interval, so the
-    node values are those of the continuous problem up to rounding and the
-    conditioning of the boundary problem itself (see the module docstring).
-    Each agent's strategy carries its inventory and rate columns of the
-    solved node states. Initial inventories are snapped to exactly x0, and
-    terminal ones to exactly zero after the defect is recorded; the rates
-    are kept as solved. residual_report measures the optimality residual.
+    The node states are solve_decoupled's: the drift's forcing is integrated
+    exactly over every interval, so the node values are those of the
+    continuous problem up to rounding and the conditioning of the boundary
+    problem itself (see the module docstring). Each agent's strategy
+    carries its inventory and rate columns of them. Initial inventories are
+    snapped to exactly x0, and terminal ones to exactly zero after the
+    defect is recorded; the rates are kept as solved. residual_report
+    measures the optimality residual.
     """
-    if not problem.horizon.is_finite:
-        raise HorizonMismatch("the grid solver needs a finite horizon")
     if n_steps < 8:
         raise InvalidParam("n_steps", "need at least 8 intervals")
-    n, T, x0 = problem.n, problem.T, problem.x0
-    _, D, C, k, G, steps = _decoupled(problem, n_steps)
-    Z = _march(D, k, C * (T / n_steps), G, steps, x0, n_steps)
-    X = Z[:, :n].copy()
+    sol = solve_decoupled(problem, n_steps)
+    n = problem.n
+    X = sol.Z[:, :n].copy()
     defect = float(np.max(np.abs(X[-1])))
-    X[0], X[-1] = x0, 0.0
-    grid = np.linspace(0.0, T, n_steps + 1)
+    X[-1] = 0.0
     strategies = tuple(
-        GridStrategy(grid=grid, positions=X[:, i], rates=Z[:, n + i]) for i in range(n)
+        GridStrategy(grid=sol.grid, positions=X[:, i], rates=sol.Z[:, n + i]) for i in range(n)
     )
     return BvpSolution(strategies=strategies, terminal_defect=defect)
 
@@ -354,7 +453,7 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     if t is not None:
         # node states as C-ordered rows: the einsums below sum in that layout
         Z = np.vstack(_sample_profile(strategies, t)).T.copy()
-        M, D, C, k, G, steps = _decoupled(problem, t.size - 1)
+        M, D, C, k, _, G, steps = _decoupled(problem, t.size - 1)
         # numpy's own loops, not BLAS: right after expm, a threaded BLAS product
         # of this size took about 5 ms at n = 20 on 2 CPUs, this loop 0.4 ms
         Y = np.einsum("ij,kj->ki", np.linalg.inv(D), Z)

@@ -190,7 +190,6 @@ def _cmd_scan(args) -> int:
         args.param,
         values,
         (args.probe_agent - 1, args.probe_time),
-        grid_steps=args.grid,
     )
     lines = ["param,probe_value,status"]
     for r in results:
@@ -284,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--values", required=True, help="start:stop:count or v1,v2,...")
     sc.add_argument("--probe-agent", type=int, required=True, help="1-based agent index")
     sc.add_argument("--probe-time", type=float, required=True)
-    sc.add_argument("--grid", type=_grid, default=400)
+    sc.add_argument("--grid", type=_grid, default=400,
+                    help="accepted (>= 8) and not used: every point is solved exactly, "
+                         "without a grid")
 
     oc = sub.add_parser("oracle-check", help="cross-validate against the discrete oracle")
     oc.add_argument("--problem", required=True)

@@ -54,6 +54,10 @@ class SingularShootingMatrix(LiquidationGameError):
     """
 
 
+class MomentOverflow(LiquidationGameError):
+    """An agent's revenue moments overflow the float range (inventories near 1e154 and up)."""
+
+
 class HorizonMismatch(LiquidationGameError):
     """Strategies passed to an evaluation do not share a horizon."""
 

@@ -21,6 +21,7 @@ from liqgames.errors import (
     GridMismatch,
     HorizonMismatch,
     InvalidParam,
+    MomentOverflow,
     OutOfDomain,
     UnsupportedCase,
 )
@@ -404,6 +405,28 @@ def test_monte_carlo_matches_moments_within_3se():
         assert mc.truncation_time is None
 
 
+@pytest.mark.parametrize("alphas", [(0.5, 1.5), (0.5, 0.5)], ids=["grid", "closed_form"])
+def test_overflowing_revenue_moments_raise(alphas):
+    # inventories near 1e250 solve, but x0^2 is past the float range
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = [AgentSpec(1e250, a) for a in alphas]
+    problem = validate_problem(market, agents, Horizon.finite(0.01))
+    strategies, _ = analysis.compute_equilibrium(problem)
+    with pytest.raises(MomentOverflow):
+        analysis.mean_variance_profile(strategies, problem)
+
+
+@pytest.mark.parametrize("alphas", [(2.0, 1.5), (2.0, 2.0)], ids=["grid", "closed_form"])
+def test_overflowing_cara_value_raises(alphas):
+    # alpha^2 var / 2 ~ 2e3: e^{...} overflows, the moments do not
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = [AgentSpec(100.0, a) for a in alphas]
+    problem = validate_problem(market, agents, Horizon.finite(5.0))
+    strategies, _ = analysis.compute_equilibrium(problem)
+    with pytest.raises(MomentOverflow, match="CARA value of agent 1"):
+        analysis.mean_variance_profile(strategies, problem)
+
+
 def test_monte_carlo_cara_spread_survives_large_losses():
     # over T = 0.01 the impact cost dominates: revenues near -358 and -658,
     # where e^{-alpha R} is about 1e229 and its square is past the float range
@@ -739,6 +762,40 @@ def test_parameter_scan_probe_past_horizon(alphas, route):
     assert math.isnan(rows[0].probe_value)
     assert [r.status for r in rows[1:]] == ["ok", "ok"]
     assert rows[1].probe_value == 0.0
+
+
+# the knots at 1.247 and 1.251 sit on both sides of the probe time 1.25,
+# and 0.37, 2.21 off the reference's nodes: the one-interval solve and the
+# probe chain the forcing over them. DENSE has 96 kinks, off the nodes too
+KNOTTED = DriftSpec.sampled([0.0, 0.37, 1.247, 1.251, 2.21, 3.0],
+                            [0.2, -0.4, 0.1, 0.5, -0.3, 0.25])
+DENSE = DriftSpec.sampled(np.append(2.97 * np.linspace(0.0, 1.0, 97) ** 1.1, 3.0),
+                          0.3 * np.cos(np.arange(98.0) ** 1.5))
+
+
+@pytest.mark.parametrize("drift", [DriftSpec.zero(), DriftSpec.constant(0.3), KNOTTED, DENSE],
+                         ids=["zero", "constant", "sampled", "dense"])
+@pytest.mark.parametrize("parameter, values, T", [
+    ("lambda", [0.7, 1.3], 3.0),
+    ("gamma", [0.0, 0.6], 3.0),  # gamma 0: a spectrum symmetric about 0
+    ("lambda", [0.0125], 8.0),  # stiff: growth * T ~ 70
+])
+def test_scan_probes_exactly_between_nodes(drift, parameter, values, T):
+    # the reference solves on a grid of step 0.25, so the probe time is its
+    # node 5; a linear interpolant of 400 nodes is about 1e-6 off here
+    if drift.kind == "sampled" and T != 3.0:
+        drift = DriftSpec.sampled(list(drift.grid[:-1]) + [T], drift.values)
+    market = MarketParams(lam=1.0, gamma=0.6, sigma=0.9, s0=10.0, drift=drift)
+    agents = (AgentSpec(1.12, 0.4), AgentSpec(-0.7, 1.3), AgentSpec(2.06, 0.9))
+    problem = validate_problem(market, agents, Horizon.finite(T))
+    rows = analysis.parameter_scan(problem, parameter, values, probe=(1, 1.25))
+    for v, row in zip(values, rows):
+        point = analysis._scan_problem(problem, parameter, v)
+        assert analysis.compute_equilibrium(point, 8)[1] == "bvp"
+        ref = bvp.solve_finite(point, int(4 * T)).strategies[1]
+        assert ref.grid[5] == 1.25
+        assert row.status == "ok"
+        assert abs(row.probe_value - ref.positions[5]) <= 1e-12 * np.max(np.abs(problem.x0))
 
 
 def test_nan_times_raise_out_of_domain():

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from liqgames import bvp, closed_form
-from liqgames.errors import HorizonMismatch, InvalidParam
+from liqgames.errors import HorizonMismatch, InvalidParam, OutOfDomain
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -243,11 +243,12 @@ def test_solve_finite_matches_dense_node_system(n, lam, T, n_steps):
     assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n_steps", [15, 40, 41])
+@pytest.mark.parametrize("n_steps", [1, 13, 15, 40, 41])
 def test_lockstep_march_matches_sequential_march(n_steps):
-    # blocks of ceil(sqrt(N)) steps: 4 + 4 + 4 + 3, five of 7 + 5, five of
-    # 7 + 6. The reference marches every node one after another, from 0 and
-    # from I for the end state, then again from the solved start
+    # blocks of ceil(sqrt(N)) steps: one of 1 (mapped by G itself), 4 + 4 +
+    # 4 + 1, 4 + 4 + 4 + 3, five of 7 + 5, five of 7 + 6. The reference
+    # marches every node one after another, from 0 and from I for the end
+    # state, then again from the solved start
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0))
     M = bvp.assemble(problem)[0]
     m, n, T = M.shape[0], problem.n, problem.T
@@ -256,7 +257,7 @@ def test_lockstep_march_matches_sequential_march(n_steps):
     steps = np.random.default_rng(n_steps).normal(size=(n_steps, m))
     Ch = C * (T / n_steps)
     G = expm(Ch)
-    Z = bvp._march(D, k, Ch, G, steps, problem.x0, n_steps)
+    W = bvp._march(D, k, Ch, G, steps, problem.x0, n_steps)
 
     p, H = np.zeros(m), np.eye(m)
     for s in steps:
@@ -271,8 +272,7 @@ def test_lockstep_march_matches_sequential_march(n_steps):
         Y.append(G @ Y[-1] + s)
     Y = np.array(Y)
     w = np.hstack([Y[:, :k], Y[::-1, k:]])  # the backward part runs from node N down
-    want = w @ D.T
-    assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(W - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,56 @@ def test_node_rates_are_exact():
                  closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)]
     got = np.array([s.rates for s in sol.strategies])
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# ---------------------------------------------------------------------------
+# the continuous solution between nodes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam, T", [(1.0, 2.0), (1e-3, 2000.0)], ids=["mild", "very_stiff"])
+def test_one_interval_solution_matches_closed_form_between_nodes(lam, T):
+    problem = make_problem(lam=lam, alphas=(0.8, 0.8, 0.8), x0=(1.0, 2.0, -1.0), T=T)
+    sol = bvp.solve_decoupled(problem, 1)
+    reference = closed_form.equal_alpha_finite(problem.market, problem.agents, T)
+    for t in T * np.array([1e-4, 0.137, 0.5, 0.731, 0.9999]):
+        want = np.array([ref.position(t) for ref in reference])
+        assert np.max(np.abs(sol.positions(t) - want)) <= 1e-12 * np.max(np.abs(problem.x0))
+
+
+@pytest.mark.parametrize("drift", [None, DriftSpec.constant(0.3), kinked_drift(2.0, 9, 5)],
+                         ids=["zero", "constant", "sampled"])
+def test_one_interval_and_node_solutions_agree(drift):
+    # one interval and 40: the same states at both ends, rates included, and
+    # the continuous solution of the 40-node march passes through its nodes
+    problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), drift=drift)
+    n = problem.n
+    one = bvp.solve_decoupled(problem, 1)
+    nodes = bvp.solve_decoupled(problem, 40)
+    grid = solve(problem, 40)
+    Z = np.array([s.positions for s in grid.strategies] + [s.rates for s in grid.strategies]).T
+    scale = np.max(np.abs(Z))
+    assert np.max(np.abs(one.Z[[0, -1], n:] - Z[[0, -1], n:])) <= 1e-12 * scale
+    assert np.array_equal(one.positions(0.0), problem.x0)
+    assert np.array_equal(one.positions(2.0), np.zeros(n))
+    assert np.abs(one.Z[-1, :n]).max() <= 1e-12 * scale
+    for t, z in zip(nodes.grid[1:-1], nodes.Z[1:-1]):
+        assert np.max(np.abs(nodes.positions(t) - z[:n])) <= 1e-13 * scale
+
+
+def test_continuous_solution_domain_and_ends():
+    problem = make_problem(alphas=(0.4, 1.3), drift=DriftSpec.constant(0.3))
+    sol = bvp.solve_decoupled(problem, 1)
+    assert np.array_equal(sol.positions(0.0), problem.x0)
+    # exactly zero at T and up to the rounding slack past it, as grid strategies
+    for t in (2.0, 2.0 * (1 + 1e-13)):
+        x = sol.positions(t)
+        assert np.array_equal(x, np.zeros(2)) and not np.any(np.signbit(x))
+    for bad in (-1e-9, 2.0 + 1e-6, math.nan):
+        with pytest.raises(OutOfDomain):
+            sol.positions(bad)
+    with pytest.raises(InvalidParam):
+        bvp.solve_decoupled(problem, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,25 @@ def test_solver_failure_maps_to_exit_2(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("x0, alphas, T", [
+    (1e250, (0.5, 1.5), 0.01),
+    (1e250, (0.5, 0.5), 0.01),
+    (100.0, (2.0, 1.5), 5.0),  # finite moments, e^{-alpha E + alpha^2 V / 2} overflows
+], ids=["bvp", "closed_form", "cara"])
+def test_overflowing_revenue_moments_map_to_exit_2(tmp_path, x0, alphas, T, capsys):
+    # inventories near 1e250 solve, but their revenue moments overflow: a
+    # typed error (the suite turns RuntimeWarnings into errors), nothing written
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0)
+    agents = [AgentSpec(x0, a) for a in alphas]
+    src = tmp_path / "huge.json"
+    dump_problem(validate_problem(market, agents, Horizon.finite(T)), str(src))
+    out = tmp_path / "r.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_config_errors_map_to_exit_1(tmp_path, problem_file):
     assert main(["equilibrium", "--problem", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == 1
