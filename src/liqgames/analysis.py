@@ -668,12 +668,13 @@ def parameter_scan(
     Scanning "n" keeps agent 1 fixed and splits the remaining aggregate
     inventory evenly; "alpha_sigma2" sets one common risk aversion. A point
     on a closed-form route (see compute_equilibrium) is probed on its
-    closed form. A point on the bvp route is solved on one interval and
-    probed on bvp's continuous solution (DecoupledSolution.positions),
-    exact at every t: the forcing of a sampled drift is chained over its
-    sample points, so no grid is needed. Failures at individual points,
-    including a probe time outside a point's horizon (OutOfDomain), are
-    recorded in the status column, not raised.
+    closed form. A point on the bvp route is solved on one interval
+    (bvp.solve_finite(problem, 1)) and probed on its continuous solution
+    (DecoupledSolution.positions), exact at every t: the forcing of a
+    sampled drift is chained over its sample points, so no grid is
+    needed. Failures at individual points, including a probe time outside
+    a point's horizon (OutOfDomain), are recorded in the status column,
+    not raised.
     """
     if parameter not in _SCAN_PARAMS:
         raise InvalidParam("parameter", f"must be one of {_SCAN_PARAMS}")
@@ -685,7 +686,7 @@ def parameter_scan(
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
             if _bvp_route(p2):
-                inventories = bvp.solve_decoupled(p2, 1).positions(t_probe)
+                inventories = bvp.solve_finite(p2, 1).positions(t_probe)
                 probe_value = float(inventories[agent_index])
             else:
                 strategies, _ = compute_equilibrium(p2)

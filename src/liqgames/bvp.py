@@ -34,21 +34,25 @@ _march). No eigenvector is formed. A singular 2n x 2n system, non-finite
 nodes or an overflowing exponential raise SingularShootingMatrix. Infinite
 horizons are solved in closed form (see closed_form).
 
-The solution is exact between nodes as well (DecoupledSolution.positions),
-and the forcing of each interval is chained over the drift's sample points
-inside it, so every drift needs only one interval: parameter_scan probes
-it so. solve_finite builds its node strategies from the same solve.
+solve_finite is the one grid solve, on any n_steps >= 1 intervals. Its
+DecoupledSolution is exact between nodes as well (positions), and the
+forcing of each interval is chained over the drift's sample points inside
+it, so every drift needs only one interval: parameter_scan probes it so.
+Its strategies are the agents' GridStrategy at the nodes.
 
-residual_report checks grid profiles on the solve's own decoupled interval
-map (see _decoupled), which it certifies to be M's, and exponential sums
-mode by mode.
+_decoupled owns the interval map of a (problem, n_steps): one read-only
+record, kept for the last pair asked. The solve marches it, positions
+steps inside it, and residual_report checks grid profiles on it, certified
+to be M's own; exponential sums are checked mode by mode.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -61,11 +65,9 @@ from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_d
                     _mode_table, _sample_profile, system_matrix)
 
 __all__ = [
-    "BvpSolution",
     "DecoupledSolution",
     "ResidualReport",
     "assemble",
-    "solve_decoupled",
     "solve_finite",
     "residual_report",
 ]
@@ -108,14 +110,6 @@ class ResidualReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True, eq=False)
-class BvpSolution:
-    """Finite-horizon numerical equilibrium on a uniform grid."""
-
-    strategies: Tuple[GridStrategy, ...]
-    terminal_defect: float
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -277,11 +271,31 @@ def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
     return Y
 
 
-def _decoupled(problem: Problem, n_steps: int):
-    """M, D, C, k, g and the decoupled interval map y_{j+1} = G y_j + s_j (see _march).
+class _IntervalMap(NamedTuple):
+    """The decoupled interval map of one (problem, n_steps); its arrays are read-only.
 
-    g = D^-1 u with its backward rows negated drives the decoupled forcing;
-    s holds the exact forcing of every interval, None for zero drift.
+    M is the problem's system matrix and D, C = blockdiag(A_f, -A_b), k its
+    split (see _split). g = D^-1 u with its backward rows negated drives
+    the decoupled forcing. Every interval maps y_{j+1} = G y_j + s_j (see
+    _march); steps holds the exact forcing s_j, None for zero drift.
+    """
+
+    M: np.ndarray
+    D: np.ndarray
+    C: np.ndarray
+    k: int
+    g: np.ndarray
+    G: np.ndarray
+    steps: Optional[np.ndarray]
+
+
+@functools.lru_cache(maxsize=1)
+def _decoupled(problem: Problem, n_steps: int) -> _IntervalMap:
+    """The interval map of problem on n_steps intervals, kept for the last pair asked.
+
+    Problem hashes by identity, so only the same object hits the cache,
+    which keeps it alive: its id is never reused. The solve and the check
+    of its profile read one map, so nothing may write into it.
     """
     T, drift = problem.T, problem.market.drift
     M, u = assemble(problem)
@@ -293,7 +307,10 @@ def _decoupled(problem: Problem, n_steps: int):
         _forcing_steps(C[:k, :k], g[:k], drift, T, n_steps, p1[:k], p2[:k]),
         _forcing_steps(C[k:, k:], g[k:], drift, T, n_steps, p1[k:], p2[k:], reverse=True),
     ])
-    return M, D, C, k, g, G, steps
+    for a in (M, D, C, g, G, steps):
+        if a is not None:
+            a.setflags(write=False)
+    return _IntervalMap(M, D, C, k, g, G, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,19 +318,36 @@ class DecoupledSolution:
     """The finite-horizon equilibrium on the solve's decoupled basis.
 
     grid holds the march's nodes, and W and Z the states w and Z = D w at
-    each (every agent's inventory, then every agent's rate). C =
-    blockdiag(A_f, -A_b) and g drive w: the first k rows forward in t, the
-    rest backward in T - t (see _split and _decoupled).
+    each (every agent's inventory, then every agent's rate), with X(0)
+    snapped to x0 and X(T) as solved. map is the interval map the march
+    ran on (see _decoupled): the first k rows of w run forward in t, the
+    rest backward in T - t.
     """
 
     grid: np.ndarray
     W: np.ndarray
     Z: np.ndarray
-    D: np.ndarray
-    C: np.ndarray
-    k: int
-    g: np.ndarray
+    map: _IntervalMap
     drift: DriftSpec
+
+    @property
+    def terminal_defect(self) -> float:
+        """max|X(T)| as solved, before the strategies snap it to zero."""
+        return float(np.max(np.abs(self.Z[-1, :self.Z.shape[1] // 2])))
+
+    @functools.cached_property
+    def strategies(self) -> Tuple[GridStrategy, ...]:
+        """Each agent's GridStrategy: the solved inventories and rates at the nodes.
+
+        Terminal inventories are snapped to exactly zero (terminal_defect
+        reads them as solved); the rates are kept as solved. A grid of
+        fewer than 8 intervals raises InvalidParam, as GridStrategy does.
+        """
+        n = self.Z.shape[1] // 2
+        X = self.Z[:, :n].copy()
+        X[-1] = 0.0
+        return tuple(GridStrategy(grid=self.grid, positions=X[:, i], rates=self.Z[:, n + i])
+                     for i in range(n))
 
     def positions(self, t: float) -> np.ndarray:
         """Every agent's inventory at the time t, exact between nodes to rounding.
@@ -322,11 +356,12 @@ class DecoupledSolution:
         w_f(a) plus the exact forcing over [a, t], and the backward part
         e^{-A_b (b - t)} w_b(b) plus its forcing over [b, t], run in T - t;
         neither step grows past about e, and one exponential of the scaled C
-        gives both. t = 0 returns the solved nodes' snapped x0 and t = T
-        exactly 0.0, as solve_finite does; a time before 0 or past T raises
-        OutOfDomain, as for every strategy type.
+        gives both. t = 0 returns the snapped x0 and t = T exactly 0.0, as
+        the strategies do; a time before 0 or past T raises OutOfDomain, as
+        for every strategy type.
         """
-        grid, k, C, g, drift = self.grid, self.k, self.C, self.g, self.drift
+        grid, drift = self.grid, self.drift
+        _, D, C, k, g, _, _ = self.map
         T = float(grid[-1])
         t = float(_in_domain(t, T))
         n = self.Z.shape[1] // 2
@@ -346,60 +381,42 @@ class DecoupledSolution:
             w[k:] += _forcing(C[k:, k:], g[k:], lambda s: drift(T - s),
                               _knots(drift, T, reverse=True), T - b, T - t)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = self.D[:n] @ w
+            x = D[:n] @ w
         if not np.all(np.isfinite(x)):
             raise SingularShootingMatrix("boundary solve produced non-finite values")
         return x
 
 
-def solve_decoupled(problem: Problem, n_steps: int) -> DecoupledSolution:
+def solve_finite(problem: Problem, n_steps: int = 400) -> DecoupledSolution:
     """The finite-horizon equilibrium marched on n_steps >= 1 intervals.
 
-    The node states are exact up to rounding and the conditioning of the
-    boundary problem on any grid (see the module docstring); the grid only
-    places the nodes. With n_steps = 1 the march is one boundary
-    exponential and one 2n x 2n solve. Inventories snap to exactly x0 at
-    t = 0, not at T: solve_finite records the terminal defect first.
+    The drift's forcing is integrated exactly over every interval, so the
+    node states are those of the continuous problem up to rounding and the
+    conditioning of the boundary problem itself, on any grid (see the
+    module docstring); the grid only places the nodes. With n_steps = 1
+    the march is one boundary exponential and one 2n x 2n solve. A
+    non-integral n_steps, or one below 1, raises InvalidParam.
+    residual_report measures the optimality residual of the strategies.
     """
     if not problem.horizon.is_finite:
         raise HorizonMismatch("the grid solver needs a finite horizon")
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise InvalidParam("n_steps", "must be an integer") from None
     if n_steps < 1:
         raise InvalidParam("n_steps", "need at least one interval")
     T, n = problem.T, problem.n
-    _, D, C, k, g, G, steps = _decoupled(problem, n_steps)
+    imap = _decoupled(problem, n_steps)
+    _, D, C, k, _, G, steps = imap
     W = _march(D, k, C * (T / n_steps), G, steps, problem.x0, n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
         Z = W @ D.T
     if not np.all(np.isfinite(Z)):
         raise SingularShootingMatrix("boundary solve produced non-finite values")
     Z[0, :n] = problem.x0
-    grid = np.linspace(0.0, T, n_steps + 1)
-    return DecoupledSolution(grid=grid, W=W, Z=Z, D=D, C=C, k=k, g=g, drift=problem.market.drift)
-
-
-def solve_finite(problem: Problem, n_steps: int = 400) -> BvpSolution:
-    """Numerical equilibrium of a finite-horizon problem on n_steps intervals.
-
-    The node states are solve_decoupled's: the drift's forcing is integrated
-    exactly over every interval, so the node values are those of the
-    continuous problem up to rounding and the conditioning of the boundary
-    problem itself (see the module docstring). Each agent's strategy
-    carries its inventory and rate columns of them. Initial inventories are
-    snapped to exactly x0, and terminal ones to exactly zero after the
-    defect is recorded; the rates are kept as solved. residual_report
-    measures the optimality residual.
-    """
-    if n_steps < 8:
-        raise InvalidParam("n_steps", "need at least 8 intervals")
-    sol = solve_decoupled(problem, n_steps)
-    n = problem.n
-    X = sol.Z[:, :n].copy()
-    defect = float(np.max(np.abs(X[-1])))
-    X[-1] = 0.0
-    strategies = tuple(
-        GridStrategy(grid=sol.grid, positions=X[:, i], rates=sol.Z[:, n + i]) for i in range(n)
-    )
-    return BvpSolution(strategies=strategies, terminal_defect=defect)
+    return DecoupledSolution(grid=np.linspace(0.0, T, n_steps + 1), W=W, Z=Z, map=imap,
+                             drift=problem.market.drift)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +436,9 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
     A profile holding grid strategies is checked on their shared grid of N
     intervals, with exponential-sum members sampled at its nodes: the node
     states Z_j = (X_j, X_j') must satisfy the solver's exact interval map,
-    so positions and rates are certified together. The map is read where
-    the solve marches it (see _decoupled and _march): y_j stacks the
+    so positions and rates are certified together. The map is the one the
+    solve marches (see _decoupled and _march), read from its cache when
+    the same problem was just solved on this grid: y_j stacks the
     forward rows of D^-1 Z_j over the backward rows of D^-1 Z_{N-j}, and
     y_{j+1} = G y_j + s_j, with no step growing past about e. The report
     reads sum_j max|y_{j+1} - G y_j - s_j| with n_probes = N: the discrete
@@ -462,9 +480,11 @@ def residual_report(strategies: Sequence, problem: Problem) -> ResidualReport:
         forced = np.zeros_like(mapped) if steps is None else steps
         max_res = float(np.sum(np.max(np.abs(Y[1:] - mapped - forced), axis=1)))
         scale = max(float(np.max(np.abs(a))) for a in (Y, mapped, forced))
-        # the map is M's own only where M D = D blockdiag(A_f, A_b)
-        C[k:, k:] *= -1.0
-        split = np.einsum("ij,jk->ik", M, D) - np.einsum("ij,jk->ik", D, C)
+        # the map is M's own only where M D = D blockdiag(A_f, A_b); C is
+        # shared with the solve, so its backward block is negated in a copy
+        Lam = C.copy()
+        Lam[k:, k:] *= -1.0
+        split = np.einsum("ij,jk->ik", M, D) - np.einsum("ij,jk->ik", D, Lam)
         split_rel = float(np.max(np.abs(split)) / (np.max(np.abs(M)) * np.max(np.abs(D))))
         start_err = float(np.max(np.abs(Z[0, :n] - problem.x0)))
         end_err = float(np.max(np.abs(Z[-1, :n])))

@@ -513,10 +513,10 @@ def _mode_table(profile: Sequence[ExpSumStrategy]):
 class GridStrategy:
     """Inventory path and trading rate sampled on a uniform grid over [0, T].
 
-    positions and rates are the node values of X and X' (bvp.solve_finite
-    stores its solved node states); each is linearly interpolated in
-    between. The final position must be exactly zero. Evaluating outside
-    [0, T] raises OutOfDomain instead of clamping.
+    positions and rates are the node values of X and X' (the strategies of
+    bvp.solve_finite carry its solved node states); each is linearly
+    interpolated in between. The final position must be exactly zero.
+    Evaluating outside [0, T] raises OutOfDomain instead of clamping.
     """
 
     grid: np.ndarray

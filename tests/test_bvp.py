@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
-from liqgames import bvp, closed_form
+from liqgames import analysis, bvp, closed_form
 from liqgames.errors import HorizonMismatch, InvalidParam, OutOfDomain
 from liqgames.model import (
     AgentSpec,
@@ -305,7 +305,7 @@ def test_node_rates_are_exact():
 @pytest.mark.parametrize("lam, T", [(1.0, 2.0), (1e-3, 2000.0)], ids=["mild", "very_stiff"])
 def test_one_interval_solution_matches_closed_form_between_nodes(lam, T):
     problem = make_problem(lam=lam, alphas=(0.8, 0.8, 0.8), x0=(1.0, 2.0, -1.0), T=T)
-    sol = bvp.solve_decoupled(problem, 1)
+    sol = bvp.solve_finite(problem, 1)
     reference = closed_form.equal_alpha_finite(problem.market, problem.agents, T)
     for t in T * np.array([1e-4, 0.137, 0.5, 0.731, 0.9999]):
         want = np.array([ref.position(t) for ref in reference])
@@ -319,8 +319,8 @@ def test_one_interval_and_node_solutions_agree(drift):
     # the continuous solution of the 40-node march passes through its nodes
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), drift=drift)
     n = problem.n
-    one = bvp.solve_decoupled(problem, 1)
-    nodes = bvp.solve_decoupled(problem, 40)
+    one = bvp.solve_finite(problem, 1)
+    nodes = bvp.solve_finite(problem, 40)
     grid = solve(problem, 40)
     Z = np.array([s.positions for s in grid.strategies] + [s.rates for s in grid.strategies]).T
     scale = np.max(np.abs(Z))
@@ -334,7 +334,7 @@ def test_one_interval_and_node_solutions_agree(drift):
 
 def test_continuous_solution_domain_and_ends():
     problem = make_problem(alphas=(0.4, 1.3), drift=DriftSpec.constant(0.3))
-    sol = bvp.solve_decoupled(problem, 1)
+    sol = bvp.solve_finite(problem, 1)
     assert np.array_equal(sol.positions(0.0), problem.x0)
     # exactly zero at T and up to the rounding slack past it, as grid strategies
     for t in (2.0, 2.0 * (1 + 1e-13)):
@@ -344,7 +344,7 @@ def test_continuous_solution_domain_and_ends():
         with pytest.raises(OutOfDomain):
             sol.positions(bad)
     with pytest.raises(InvalidParam):
-        bvp.solve_decoupled(problem, 0)
+        bvp.solve_finite(problem, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +360,19 @@ def bump_node(strategies, field):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda strategies: bump_node(strategies, "positions"),
-    lambda strategies: bump_node(strategies, "rates"),
-    lambda strategies: strategies[::-1],
-], ids=["bumped_position", "bumped_rate", "swapped_agents"])
+    lambda strategies, problem: (bump_node(strategies, "positions"), problem),
+    lambda strategies, problem: (bump_node(strategies, "rates"), problem),
+    lambda strategies, problem: (strategies[::-1], problem),
+    # solved under zero drift, checked against constant drift: a fresh map
+    lambda strategies, problem: (strategies, make_problem(alphas=(0.4, 1.3),
+                                                          drift=DriftSpec.constant(0.3))),
+], ids=["bumped_position", "bumped_rate", "swapped_agents", "wrong_problem"])
 def test_residual_detects_corruption(corrupt):
     # unequal alphas, so that swapped paths solve the wrong equations
     problem = make_problem(alphas=(0.4, 1.3))
     sol = solve(problem, 400)
     clean = bvp.residual_report(sol.strategies, problem).relative
-    dirty = bvp.residual_report(corrupt(list(sol.strategies)), problem).relative
+    dirty = bvp.residual_report(*corrupt(list(sol.strategies), problem)).relative
     assert clean < 1e-12
     assert dirty > 1e-6
 
@@ -389,6 +392,23 @@ def test_grid_residual_certifies_the_split(monkeypatch):
     report = bvp.residual_report(solve(problem, 400).strategies, problem)
     assert report.max_residual / report.scale < 1e-12
     assert report.relative > 1e-7
+
+
+def test_interval_map_is_read_only_and_kept_per_problem_object():
+    problem = make_problem(alphas=(0.4, 1.3), drift=DriftSpec.constant(0.3))
+    sol = solve(problem, 40)
+    imap = sol.map
+    assert bvp._decoupled(problem, 40) is imap  # the check reads the solve's map
+    for name in ("M", "D", "C", "g", "G", "steps"):
+        a = getattr(imap, name)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # an equal problem is another object: its map is built afresh
+    twin = make_problem(alphas=(0.4, 1.3), drift=DriftSpec.constant(0.3))
+    fresh = bvp._decoupled(twin, 40)
+    assert fresh is not imap
+    assert np.array_equal(fresh.G, imap.G) and np.array_equal(fresh.steps, imap.steps)
 
 
 def test_grid_residual_reads_every_interval():
@@ -625,8 +645,14 @@ def test_two_player_infinite_residual_and_boundaries():
 
 def test_solve_finite_validates_inputs():
     # a validated Problem fixes x0 and T > 0; the solver checks the rest
-    with pytest.raises(InvalidParam):
-        bvp.solve_finite(make_problem(), 4)
+    coarse = bvp.solve_finite(make_problem(), 4)  # any grid solves
+    with pytest.raises(InvalidParam):  # but a GridStrategy needs 8 intervals
+        coarse.strategies
+    for bad in (0, -3, 400.0, "400", None):
+        with pytest.raises(InvalidParam):
+            bvp.solve_finite(make_problem(), bad)
+    with pytest.raises(InvalidParam):  # the bvp route passes grid_steps through
+        analysis.compute_equilibrium(make_problem(alphas=(0.4, 1.3)), 400.0)
     market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0)
     infinite = validate_problem(market, [AgentSpec(1.0, 0.5)], Horizon.infinite())
     with pytest.raises(HorizonMismatch):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from liqgames import analysis, cli, closed_form, oracle
+from liqgames import analysis, bvp, cli, closed_form, oracle
 from liqgames.cli import main
 from liqgames.model import (
     AgentSpec,
@@ -119,6 +119,23 @@ def test_equilibrium_bvp_route_and_tolerance_gate(tmp_path):
     code = main(["equilibrium", "--problem", str(src), "--out",
                  str(tmp_path / "het_t.csv"), "--residual-tol", repr(tol)])
     assert code == 4
+
+
+def test_grid_equilibrium_takes_one_schur_form(tmp_path, monkeypatch):
+    # the residual check reads the solve's own interval map, so a grid op
+    # splits M's spectrum once, not once to solve and again to check
+    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=10.0, drift=DriftSpec.constant(0.3))
+    problem = validate_problem(
+        market, (AgentSpec(1.12, 0.5), AgentSpec(2.06, 1.5)), Horizon.finite(2.0)
+    )
+    src = tmp_path / "het.json"
+    dump_problem(problem, str(src))
+    calls = []
+    real = bvp.dgees
+    monkeypatch.setattr(bvp, "dgees", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert main(["equilibrium", "--problem", str(src), "--out", str(tmp_path / "eq.csv")]) == 0
+    assert json.loads((tmp_path / "eq.json").read_text())["route"] == "bvp"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("alphas, drift, route", [
