@@ -4,10 +4,11 @@ n agents trade a single asset whose price carries permanent (gamma) and
 temporary (lambda) linear impact. Each agent liquidates an initial position
 under a mean-variance (equivalently CARA) objective; the open-loop Nash
 equilibrium solves a coupled linear two-point boundary value problem.
-The package provides closed forms where they exist, stationary solutions on
-the infinite horizon, a grid boundary solver for the general finite-horizon
-game (forward and backward marches on Schur bases, forced by the exact
-integral of the piecewise-linear drift over each interval), an independent
+The package provides the closed forms that exist (equal risk aversion on
+either horizon, the two-trader infinite horizon and the single agent), a
+grid boundary solver for the general finite-horizon game (forward and
+backward marches on Schur bases, forced by the exact integral of the
+piecewise-linear drift over each interval), an independent
 discrete-game oracle (one banded solve of the stacked first-order conditions
 of the time-stepped game), and tools for evaluating (every agent's exact
 revenue moments from one Gram matrix of the profile's exponential modes),
@@ -17,7 +18,6 @@ simulating, classifying and scanning equilibria.
 from .errors import (
     DegenerateEigenbasis,
     DriftNotZero,
-    GammaZero,
     GridMismatch,
     HorizonMismatch,
     IndefiniteHessian,
@@ -53,12 +53,9 @@ from .closed_form import (
     equal_alpha_finite,
     equal_alpha_infinite,
     finite_to_infinite_convergence,
-    mean_field_strategy,
     negative_quartic_roots,
     single_agent_finite,
-    sinh_ratio,
     spectral,
-    two_player_finite,
     two_player_infinite,
 )
 from .bvp import (
@@ -101,7 +98,6 @@ __all__ = [
     "EvaluationResult",
     "ExpSumStrategy",
     "FixedPointReport",
-    "GammaZero",
     "GridMismatch",
     "GridStrategy",
     "Horizon",
@@ -138,7 +134,6 @@ __all__ = [
     "finite_to_infinite_convergence",
     "iterate_nash",
     "load_problem",
-    "mean_field_strategy",
     "mean_variance",
     "mean_variance_profile",
     "mean_variance_sampled",
@@ -150,11 +145,9 @@ __all__ = [
     "problem_to_dict",
     "residual_report",
     "single_agent_finite",
-    "sinh_ratio",
     "solve_finite",
     "spectral",
     "system_matrix",
-    "two_player_finite",
     "two_player_infinite",
     "validate_problem",
 ]

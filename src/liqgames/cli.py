@@ -2,12 +2,14 @@
 
 Subcommands:
   equilibrium   solve a problem file, emit a CSV path table + JSON sidecar
-  scan          sweep one parameter, emit a CSV of probe values
+  scan          sweep one parameter, emit a CSV of probe values (each point
+                is solved exactly, so scan takes no --grid)
   oracle-check  cross-validate the solver against the discrete oracle
   classify      role of an inventory-less agent for given market parameters
 
 Exit codes: 0 success, 1 configuration error (including flags argparse
-rejects, a --grid below 8 intervals, and tolerances or a t-max that are
+rejects, an equilibrium or oracle-check --grid below 8 intervals, problem
+fields that are not finite numbers, and tolerances or a t-max that are
 negative or not finite),
 2 solver failure (including an oracle fixed point that fails its
 verification sweep), 4 tolerance breached. A run that stops on an error
@@ -283,9 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--values", required=True, help="start:stop:count or v1,v2,...")
     sc.add_argument("--probe-agent", type=int, required=True, help="1-based agent index")
     sc.add_argument("--probe-time", type=float, required=True)
-    sc.add_argument("--grid", type=_grid, default=400,
-                    help="accepted (>= 8) and not used: every point is solved exactly, "
-                         "without a grid")
 
     oc = sub.add_parser("oracle-check", help="cross-validate against the discrete oracle")
     oc.add_argument("--problem", required=True)

@@ -13,7 +13,6 @@ are exponentiated; see ExpSumStrategy for how anchors make that exact.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .errors import (
     DegenerateEigenbasis,
     DriftNotZero,
-    GammaZero,
     InvalidParam,
     RootFindingFailed,
     UnsupportedCase,
@@ -41,13 +39,10 @@ __all__ = [
     "spectral",
     "single_agent_finite",
     "equal_alpha_finite",
-    "two_player_finite",
-    "mean_field_strategy",
     "equal_alpha_infinite",
     "two_player_infinite",
     "negative_quartic_roots",
     "finite_to_infinite_convergence",
-    "sinh_ratio",
 ]
 
 
@@ -175,81 +170,6 @@ def equal_alpha_finite(
             ExpSumStrategy(coefs=coefs, rates=rates, anchors=anchors, horizon=horizon)
         )
     return out
-
-
-def two_player_finite(
-    market: MarketParams, agent1: AgentSpec, agent2: AgentSpec, T: float
-) -> Tuple[ExpSumStrategy, ExpSumStrategy]:
-    """Two-player equilibrium built from the aggregate and the spread.
-
-    The sum of inventories decays with the rho modes, the difference with
-    the theta modes; the players are (sum +- difference) / 2. Agrees with
-    equal_alpha_finite at n = 2 but exercises the decoupled route.
-    """
-    _require_zero_drift(market)
-    if not alphas_equal([agent1.alpha, agent2.alpha]):
-        raise UnsupportedCase("two_player_finite needs a common risk aversion")
-    alpha = agent1.alpha
-    if alpha * market.sigma**2 <= 0.0:
-        raise InvalidParam(
-            "alpha", "closed form requires alpha sigma^2 > 0; use the bvp solver"
-        )
-    spec = spectral(market, alpha, 2)
-    horizon = Horizon.finite(T)
-    total = agent1.x0 + agent2.x0
-    diff = agent1.x0 - agent2.x0
-
-    denom_r = _expm1_neg(-2.0 * spec.rho_hat * T)
-    aggregate = ExpSumStrategy(
-        coefs=[total / denom_r, -total * math.exp(spec.rho_minus * T) / denom_r],
-        rates=[spec.rho_minus, spec.rho_plus],
-        anchors=[0.0, T],
-        horizon=horizon,
-    )
-    denom_t = _expm1_neg(-2.0 * spec.theta_hat * T)
-    spread = ExpSumStrategy(
-        coefs=[diff / denom_t, -diff * math.exp(spec.theta_minus * T) / denom_t],
-        rates=[spec.theta_minus, spec.theta_plus],
-        anchors=[0.0, T],
-        horizon=horizon,
-    )
-    first = aggregate.scaled(0.5).plus(spread.scaled(0.5))
-    second = aggregate.scaled(0.5).plus(spread.scaled(-0.5))
-    return first, second
-
-
-def mean_field_strategy(
-    market: MarketParams, alpha: float, x_i: float, x_bar: float, T: float
-) -> ExpSumStrategy:
-    """Limit strategy as the number of agents grows with fixed average x_bar.
-
-    The aggregate modes collapse to rates 0 and -gamma/lam, so gamma > 0 is
-    required; the deviation from the average still relaxes with the theta
-    modes. alpha > 0 and zero drift required.
-    """
-    _require_zero_drift(market)
-    if market.gamma <= 0:
-        raise GammaZero("mean-field limit needs gamma > 0")
-    if alpha * market.sigma**2 <= 0.0:
-        raise InvalidParam("alpha", "mean-field strategy requires alpha sigma^2 > 0")
-    if T <= 0:
-        raise InvalidParam("T", "horizon length must be > 0")
-    spec = spectral(market, alpha, 2)  # theta modes do not depend on n
-    g_rate = market.gamma / market.lam
-    denom_t = _expm1_neg(-2.0 * spec.theta_hat * T)
-    denom_g = _expm1_neg(-g_rate * T)
-    dev = x_bar - x_i
-    return ExpSumStrategy(
-        coefs=[
-            dev * math.exp(spec.theta_minus * T) / denom_t,
-            -dev / denom_t,
-            x_bar / denom_g,
-            -x_bar * math.exp(-g_rate * T) / denom_g,
-        ],
-        rates=[spec.theta_plus, spec.theta_minus, -g_rate, 0.0],
-        anchors=[T, 0.0, 0.0, 0.0],
-        horizon=Horizon.finite(T),
-    )
 
 
 def equal_alpha_infinite(market: MarketParams, agents: Sequence[AgentSpec]) -> list:
@@ -405,18 +325,3 @@ def finite_to_infinite_convergence(
             gap = max(gap, float(np.max(np.abs(f.position(t_probe) - g.position(t_probe)))))
         gaps.append(gap)
     return np.array(gaps)
-
-
-def sinh_ratio(nu: float, x) -> np.ndarray:
-    """sinh(nu x) / sinh(x), computed without overflow for large x.
-
-    For 0 < nu < 1 this is strictly decreasing in x on [0, inf); that fact
-    underlies the comparative statics of the two-player equilibrium.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.where(
-        x == 0.0,
-        nu,
-        np.exp((nu - 1.0) * x) * (-np.expm1(-2.0 * nu * x)) / np.where(x == 0.0, 1.0, -np.expm1(-2.0 * x)),
-    )
-    return out if out.ndim else float(out)

@@ -31,10 +31,6 @@ class DriftNotZero(LiquidationGameError):
     """A closed form that requires vanishing drift was called with drift."""
 
 
-class GammaZero(LiquidationGameError):
-    """The mean-field strategy needs strictly positive permanent impact."""
-
-
 class RootFindingFailed(LiquidationGameError):
     """The characteristic quartic did not yield two distinct negative roots."""
 

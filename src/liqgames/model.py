@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,6 +57,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real(name: str, value) -> float:
+    """value as a float; InvalidParam(name) unless it is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParam(name, "must be a finite number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParam(name, "must be a finite number")
+    return value
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """values as a float array; InvalidParam(name) unless all are real numbers, none a bool."""
+    try:
+        a = np.asarray(values)
+        ok = a.dtype.kind in "iuf" and not (
+            isinstance(values, (list, tuple)) and any(isinstance(v, bool) for v in values))
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise InvalidParam(name, "must be an array of numbers")
+    return a.astype(float)
+
+
 # ---------------------------------------------------------------------------
 # parameter records
 # ---------------------------------------------------------------------------
@@ -67,7 +94,7 @@ class DriftSpec:
 
     kind is one of "zero", "constant", "sampled". Sampled drifts are linearly
     interpolated between a strictly increasing sample grid. The constant
-    value and every sample must be finite.
+    value and every sample must be a finite number, not a bool.
     """
 
     kind: str
@@ -78,13 +105,12 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "sampled"):
             raise InvalidParam("drift", f"unknown kind {self.kind!r}")
-        if not math.isfinite(self.value):
-            raise InvalidParam("drift", "drift value must be finite")
+        object.__setattr__(self, "value", _real("drift", self.value))
         if self.kind == "sampled":
             if self.grid is None or self.values is None:
                 raise InvalidParam("drift", "sampled drift needs grid and values")
-            g = np.asarray(self.grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
+            g = _real_array("drift", self.grid)
+            v = _real_array("drift", self.values)
             if g.ndim != 1 or g.shape != v.shape or g.size < 2:
                 raise InvalidParam("drift", "grid and values must be 1d, equal length >= 2")
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
@@ -103,7 +129,7 @@ class DriftSpec:
 
     @classmethod
     def constant(cls, value: float) -> "DriftSpec":
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def sampled(cls, grid, values) -> "DriftSpec":
@@ -177,10 +203,7 @@ class MarketParams:
 
     def __post_init__(self):
         for name in ("lam", "gamma", "sigma", "s0"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParam(name, "must be a finite number")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.lam <= 0:
             raise InvalidParam("lambda", "temporary impact must be > 0")
         if self.gamma < 0:
@@ -200,10 +223,7 @@ class AgentSpec:
 
     def __post_init__(self):
         for name in ("x0", "alpha"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParam(name, "must be a finite number")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.alpha < 0:
             raise InvalidParam("alpha", "risk aversion must be >= 0")
 
@@ -216,15 +236,14 @@ class Horizon:
 
     def __post_init__(self):
         if self.T is not None:
-            if not (isinstance(self.T, (int, float)) and math.isfinite(self.T)):
-                raise InvalidParam("T", "must be a finite number")
+            object.__setattr__(self, "T", _real("T", self.T))
             if self.T <= 0:
                 raise InvalidParam("T", "horizon length must be > 0")
-            object.__setattr__(self, "T", float(self.T))
 
     @classmethod
     def finite(cls, T: float) -> "Horizon":
-        return cls(T=T)
+        """The horizon ending at T; InvalidParam unless T is a finite number > 0."""
+        return cls(T=_real("T", T))
 
     @classmethod
     def infinite(cls) -> "Horizon":
@@ -411,19 +430,6 @@ class ExpSumStrategy:
     def initial_position(self) -> float:
         return float(self.position(0.0))
 
-    def scaled(self, factor: float) -> "ExpSumStrategy":
-        return replace(self, coefs=self.coefs * factor)
-
-    def plus(self, other: "ExpSumStrategy") -> "ExpSumStrategy":
-        if other.horizon != self.horizon:
-            raise HorizonMismatch("strategies do not share a horizon")
-        return ExpSumStrategy(
-            coefs=np.concatenate([self.coefs, other.coefs]),
-            rates=np.concatenate([self.rates, other.rates]),
-            anchors=np.concatenate([self.anchors, other.anchors]),
-            horizon=self.horizon,
-        )
-
 
 def _check_profile(profile: Sequence[Strategy], problem: Problem) -> Optional[np.ndarray]:
     """The shared grid of a whole profile for problem, None if it holds no grid member.
@@ -553,10 +559,6 @@ class GridStrategy:
     @property
     def horizon(self) -> Horizon:
         return Horizon.finite(float(self.grid[-1]))
-
-    @property
-    def n_steps(self) -> int:
-        return self.grid.size - 1
 
     def position(self, t):
         t = _in_domain(t, float(self.grid[-1]))

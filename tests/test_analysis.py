@@ -322,7 +322,9 @@ def test_quadratic_scaling_identity(c, x):
     problem = validate_problem(market, [AgentSpec(x, 1.3)], Horizon.finite(2.0))
     base = closed_form.single_agent_finite(market, problem.agents[0], 2.0)
     one = analysis.mean_variance(base, [], problem, 0)
-    res = analysis.mean_variance(base.scaled(c), [], problem, 0)
+    scaled = ExpSumStrategy(coefs=c * base.coefs, rates=base.rates, anchors=base.anchors,
+                            horizon=base.horizon)
+    res = analysis.mean_variance(scaled, [], problem, 0)
     want_e = c * x * market.s0 + c**2 * (one.expected_revenue - x * market.s0)
     scale = max(1.0, abs(one.expected_revenue))
     assert abs(res.expected_revenue - want_e) < 1e-12 * scale
@@ -856,8 +858,8 @@ def test_deviation_quadratic_decomposition_matches_direct():
     # piecewise-linear grid representation, not by the decomposition
     problem = two_agent_problem()
     strats = closed_form.equal_alpha_finite(problem.market, problem.agents, 2.0)
-    gs = 2048
-    rep = analysis.deviation_report(problem, strats, 0, n_directions=1, grid_steps=gs)
+    gs = 4096  # deviation_report's own grid
+    rep = analysis.deviation_report(problem, strats, 0, n_directions=1)
     t = np.linspace(0.0, 2.0, gs + 1)
     base = np.asarray(strats[0].position(t))
     base[-1] = 0.0

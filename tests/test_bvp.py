@@ -513,10 +513,9 @@ def test_exp_sum_residual_sees_a_fast_transient():
     agents = [AgentSpec(1.0, 0.7), AgentSpec(2.0, 0.7)]
     problem = validate_problem(market, agents, Horizon.finite(2.0))
     strategies = closed_form.equal_alpha_finite(market, agents, 2.0)
-    eps = 0.5
-    transient = ExpSumStrategy(coefs=[eps, -eps], rates=[-1e4, -2e4], anchors=[0.0, 0.0],
-                               horizon=Horizon.finite(2.0))
-    strategies[0] = strategies[0].plus(transient)
+    eps, s = 0.5, strategies[0]
+    strategies[0] = ExpSumStrategy(coefs=[*s.coefs, eps, -eps], rates=[*s.rates, -1e4, -2e4],
+                                   anchors=[*s.anchors, 0.0, 0.0], horizon=s.horizon)
     report = bvp.residual_report(strategies, problem)
     assert report.relative > 1e-6
     # the boundary values are right: only the residual can see the defect

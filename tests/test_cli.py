@@ -297,6 +297,48 @@ def test_non_finite_drift_is_a_config_error(tmp_path, drift):
     assert not (tmp_path / "eq.json").exists()
 
 
+_NOT_NUMBERS = [
+    ("horizon", "T", None),  # once read as the infinite horizon and solved there
+    ("horizon", "T", True),
+    ("horizon", "T", "2.0"),
+    ("market", "lambda", True),
+    ("market", "lambda", "0.3"),
+    ("market", "gamma", 10**400),
+    ("agent", "x0", False),
+    ("agent", "alpha", [0.5]),
+    ("drift", "value", None),
+    ("drift", "value", [1]),
+    ("drift", "value", "0.3"),
+    ("drift", "value", True),
+    ("drift", "grid", {"a": 1}),
+    ("drift", "grid", [0.0, "2.0"]),
+    ("drift", "values", [0.1, True]),
+    ("drift", "values", [0.1, [0.2]]),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _NOT_NUMBERS,
+                         ids=[f"{s}.{k}={json.dumps(v)[:12]}" for s, k, v in _NOT_NUMBERS])
+def test_problem_fields_must_be_numbers(tmp_path, capsys, section, key, value):
+    # one rule for every number in a problem file: a finite real, not a bool
+    # and not a string; anything else is a config error that writes nothing
+    drift = ({"type": "constant", "value": 0.3} if key == "value" else
+             {"type": "sampled", "grid": [0.0, 2.0], "values": [0.1, 0.2]})
+    market = {"lambda": 1.0, "gamma": 1.0, "sigma": 1.0, "s0": 10.0, "drift": drift}
+    agent = {"x0": 1.12, "alpha": 0.5}
+    horizon = {"type": "finite", "T": 2.0}
+    {"horizon": horizon, "market": market, "agent": agent, "drift": drift}[section][key] = value
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"market": market, "agents": [agent, {"x0": 2.06, "alpha": 1.5}],
+                               "horizon": horizon}))
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameter") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert not (tmp_path / "eq.json").exists()
+
+
 def test_usage_errors_map_to_exit_1(tmp_path, problem_file, capsys):
     # argparse's own exit code 2 would read as a solver failure
     out = str(tmp_path / "x.csv")
@@ -380,10 +422,6 @@ def test_too_coarse_emission_grid_writes_nothing(tmp_path, problem_file, grid):
                  "--grid", grid, "--mc-paths", "200"]) == 1
     assert not out.exists()
     assert not (tmp_path / "coarse.json").exists()
-    assert main(["scan", "--problem", str(problem_file), "--out", str(out),
-                 "--param", "lambda", "--values", "0.5,1", "--probe-agent", "1",
-                 "--probe-time", "1", "--grid", grid]) == 1
-    assert not out.exists()
     report = tmp_path / "oracle.json"
     assert main(["oracle-check", "--problem", str(problem_file), "--out", str(report),
                  "--grid", grid]) == 1
@@ -436,6 +474,11 @@ def test_oracle_check_exit_codes(tmp_path, problem_file):
 
     assert main(["oracle-check", "--problem", str(problem_file),
                  "--max-sweeps", "2"]) == 1  # the iteration knobs are gone
+    scan_out = tmp_path / "scan.csv"
+    assert main(["scan", "--problem", str(problem_file), "--out", str(scan_out),
+                 "--param", "lambda", "--values", "0.5,1", "--probe-agent", "1",
+                 "--probe-time", "1", "--grid", "400"]) == 1  # so is the scan's grid
+    assert not scan_out.exists()
     assert main(["oracle-check", "--problem", str(problem_file),
                  "--tol", "1e-12"]) == 4
 

@@ -6,8 +6,6 @@ library under test uses anchored coefficients, so agreement to 1e-12 checks
 the algebra, not just self-consistency.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from liqgames import bvp, closed_form
 from liqgames.errors import (
     DriftNotZero,
-    GammaZero,
     InvalidParam,
     UnsupportedCase,
 )
@@ -114,7 +111,7 @@ def test_single_agent_sinh_profile():
 def test_single_agent_risk_neutral_is_linear():
     market = MarketParams(lam=0.5, gamma=0.3, sigma=1.0, s0=0.0)
     s = closed_form.single_agent_finite(market, AgentSpec(-2.0, 0.0), 1.6)
-    assert isinstance(s, GridStrategy) and s.n_steps == 8
+    assert isinstance(s, GridStrategy) and s.grid.size == 9
     t = np.linspace(0.0, 1.6, 33)
     assert np.allclose(s.position(t), -2.0 * (1.0 - t / 1.6), atol=1e-14)
     assert np.allclose(s.rate(t), 2.0 / 1.6, atol=1e-14)
@@ -158,14 +155,6 @@ def test_equal_alpha_single_agent_reduction():
     assert np.allclose(via_game.position(t), direct.position(t), atol=1e-13)
 
 
-def test_two_player_matches_equal_alpha():
-    strats = closed_form.equal_alpha_finite(BASE_MARKET, BASE_AGENTS, BASE_T)
-    pair = closed_form.two_player_finite(BASE_MARKET, *BASE_AGENTS, BASE_T)
-    t = np.linspace(0.0, BASE_T, 41)
-    for a, b in zip(strats, pair):
-        assert np.allclose(a.position(t), b.position(t), atol=1e-13)
-
-
 def test_equal_alpha_agent_permutation():
     rev = list(reversed(BASE_AGENTS))
     fwd = closed_form.equal_alpha_finite(BASE_MARKET, BASE_AGENTS, BASE_T)
@@ -193,32 +182,6 @@ def test_equal_alpha_euler_lagrange_residual():
     problem = validate_problem(BASE_MARKET, BASE_AGENTS, Horizon.finite(BASE_T))
     report = bvp.residual_report(strats, problem)
     assert report.relative < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# mean-field limit
-# ---------------------------------------------------------------------------
-
-
-def test_mean_field_requires_gamma():
-    with pytest.raises(GammaZero):
-        closed_form.mean_field_strategy(
-            MarketParams(lam=1.0, gamma=0.0, sigma=1.0, s0=0.0), 0.5, 1.0, 1.0, 2.0)
-
-
-def test_mean_field_approximates_large_games():
-    market = MarketParams(lam=1.0, gamma=1.0, sigma=1.0, s0=0.0)
-    alpha, x_bar, T = 0.8, 1.5, 2.0
-    limit = closed_form.mean_field_strategy(market, alpha, x_bar, x_bar, T)
-    n = 2000
-    agents = [AgentSpec(x_bar, alpha)] * n
-    finite_n = closed_form.equal_alpha_finite(market, agents, T)[0]
-    t = np.linspace(0.0, T, 21)
-    gap = np.max(np.abs(limit.position(t) - finite_n.position(t)))
-    assert gap < 5.0 / n  # O(1/n) approach to the limit
-
-    assert limit.position(0.0) == pytest.approx(x_bar, abs=1e-12)
-    assert limit.position(T) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +265,3 @@ def test_finite_to_infinite_convergence_decreasing():
         market, agents, t_probe=1.0, T_sequence=(2.0, 5.0, 10.0, 20.0, 50.0))
     assert np.all(np.diff(gaps) < 0)
     assert gaps[-1] < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# sinh ratio helper
-# ---------------------------------------------------------------------------
-
-
-def test_sinh_ratio_matches_direct():
-    for nu in (0.2, 0.7):
-        for x in (0.1, 1.0, 5.0):
-            assert closed_form.sinh_ratio(nu, x) == pytest.approx(
-                math.sinh(nu * x) / math.sinh(x), rel=1e-13)
-
-
-def test_sinh_ratio_no_overflow():
-    v = closed_form.sinh_ratio(0.5, 2000.0)
-    assert 0.0 <= v < 1e-300 or v == 0.0
-    assert np.isfinite(v)
-
-
-def test_sinh_ratio_decreasing_in_x():
-    x = np.linspace(0.01, 50.0, 300)
-    vals = closed_form.sinh_ratio(0.6, x)
-    assert np.all(np.diff(vals) < 0)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liqgames.errors import (
-    HorizonMismatch,
     InvalidParam,
     OutOfDomain,
     UnsupportedCase,
@@ -221,17 +220,6 @@ def test_expsum_rejects_non_1d_terms():
                        horizon=hz)
     one = ExpSumStrategy(coefs=1.0, rates=-1.0, anchors=0.0, horizon=hz)
     assert one.position(1.0) == math.exp(-1.0)
-
-
-def test_expsum_scaled_plus():
-    s = make_expsum()
-    combo = s.scaled(2.0).plus(s.scaled(-1.0))
-    t = np.linspace(0.0, 3.0, 7)
-    assert np.allclose(combo.position(t), s.position(t), atol=1e-15)
-    other = ExpSumStrategy(coefs=np.array([1.0]), rates=np.array([-1.0]),
-                           anchors=np.array([0.0]), horizon=Horizon.infinite())
-    with pytest.raises(HorizonMismatch):
-        s.plus(other)
 
 
 def test_strategies_raise_out_of_domain():
