@@ -668,35 +668,41 @@ def parameter_scan(
     Scanning "n" keeps agent 1 fixed and splits the remaining aggregate
     inventory evenly; "alpha_sigma2" sets one common risk aversion. A point
     on a closed-form route (see compute_equilibrium) is probed on its
-    closed form. A point on the bvp route is solved on one interval
-    (bvp.solve_finite(problem, 1)) and probed on its continuous solution
-    (DecoupledSolution.positions), exact at every t: the forcing of a
-    sampled drift is chained over its sample points, so no grid is
-    needed. Failures at individual points, including a probe time outside
-    a point's horizon (OutOfDomain), are recorded in the status column,
-    not raised.
+    closed form. The points on the bvp route are probed together, one
+    bvp.probe call per agent count: each is solved exactly on one interval
+    [0, T] and probed there, exact at every t (the forcing of a sampled
+    drift is chained over its sample points, so no grid is needed), and
+    its value does not depend on the other points. Failures at individual
+    points, including a probe time outside a point's horizon
+    (OutOfDomain), are recorded in the status column, not raised.
     """
     if parameter not in _SCAN_PARAMS:
         raise InvalidParam("parameter", f"must be one of {_SCAN_PARAMS}")
     agent_index, t_probe = probe
-    out = []
-    for v in values:
+    values = [float(v) for v in values]
+    found = [None] * len(values)  # each point's probe value or error
+    bvp_points = {}  # agent count -> [(index, problem)]
+    for i, v in enumerate(values):
         try:
-            p2 = _scan_problem(problem, parameter, float(v))
+            p2 = _scan_problem(problem, parameter, v)
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
             if _bvp_route(p2):
-                inventories = bvp.solve_finite(p2, 1).positions(t_probe)
-                probe_value = float(inventories[agent_index])
-            else:
-                strategies, _ = compute_equilibrium(p2)
-                probe_value = float(strategies[agent_index].position(t_probe))
-            out.append(ScanResult(value=float(v), probe_value=probe_value, status="ok"))
+                bvp_points.setdefault(p2.n, []).append((i, p2))
+                continue
+            strategies, _ = compute_equilibrium(p2)
+            found[i] = float(strategies[agent_index].position(t_probe))
         except LiquidationGameError as exc:
-            out.append(
-                ScanResult(value=float(v), probe_value=float("nan"), status=type(exc).__name__)
-            )
-    return out
+            found[i] = exc
+    for points in bvp_points.values():
+        index, problems = zip(*points)
+        for i, x in zip(index, bvp.probe(problems, t_probe)):
+            found[i] = x if isinstance(x, LiquidationGameError) else float(x[agent_index])
+    return [
+        ScanResult(value=v, probe_value=float("nan"), status=type(r).__name__)
+        if isinstance(r, LiquidationGameError) else ScanResult(value=v, probe_value=r, status="ok")
+        for v, r in zip(values, found)
+    ]
 
 
 def non_monotone(values) -> Tuple[bool, bool]:

@@ -34,16 +34,19 @@ _march). No eigenvector is formed. A singular 2n x 2n system, non-finite
 nodes or an overflowing exponential raise SingularShootingMatrix. Infinite
 horizons are solved in closed form (see closed_form).
 
-solve_finite is the one grid solve, on any n_steps >= 1 intervals. Its
-DecoupledSolution is exact between nodes as well (positions), and the
-forcing of each interval is chained over the drift's sample points inside
-it, so every drift needs only one interval: parameter_scan probes it so.
-Its strategies are the agents' GridStrategy at the nodes.
+solve_finite is the one grid solve, on any n_steps >= 1 intervals; its
+DecoupledSolution's strategies are the agents' GridStrategy at the nodes.
+The forcing of each interval is chained over the drift's sample points
+inside it, so every drift needs only one interval, and the solution is
+exact between nodes too: probe solves a batch of problems on one interval
+each and reads their inventories at any t, with every point's exponentials
+and boundary system stacked into one computation. parameter_scan probes its
+bvp points so.
 
 _decoupled owns the interval map of a (problem, n_steps): one read-only
-record, kept for the last pair asked. The solve marches it, positions
-steps inside it, and residual_report checks grid profiles on it, certified
-to be M's own; exponential sums are checked mode by mode.
+record, kept for the last pair asked. The solve marches it, and
+residual_report checks grid profiles on it, certified to be M's own;
+exponential sums are checked mode by mode.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ from scipy.linalg.lapack import dgees, dtrsen
 # Not called: perfbench's tracer still wraps bvp.splu by name (ROADMAP item 1).
 from scipy.sparse.linalg import splu
 
-from .errors import HorizonMismatch, InvalidParam, SingularShootingMatrix
+from .errors import HorizonMismatch, InvalidParam, LiquidationGameError, SingularShootingMatrix
 from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_drift, _in_domain,
                     _mode_table, _sample_profile, system_matrix)
 
@@ -68,6 +71,7 @@ __all__ = [
     "DecoupledSolution",
     "ResidualReport",
     "assemble",
+    "probe",
     "solve_finite",
     "residual_report",
 ]
@@ -113,19 +117,25 @@ class ResidualReport:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A, or SingularShootingMatrix when it overflows.
+    """e^A of one m x m matrix, or of each matrix in a stack (..., m, m).
 
-    Scaled to 1-norm < 4, where scipy's expm does not square, and squared
-    here: its squaring of triangular input (Schur blocks are) cancels for
-    close but unequal diagonal entries.
+    Each matrix is scaled to 1-norm < 4, where scipy's expm does not
+    square, and squared here its own number of times: scipy's squaring of
+    triangular input (Schur blocks are) cancels for close but unequal
+    diagonal entries. A single matrix that overflows raises
+    SingularShootingMatrix; in a stack, each one that overflows comes back
+    all NaN, and the others are unaffected.
     """
-    s = max(0, math.frexp(float(np.abs(A).sum(axis=0).max()))[1] - 2)
+    s = np.maximum(0, np.frexp(np.abs(A).sum(axis=-2).max(axis=-1))[1] - 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = expm(A * 0.5**s)
-        for _ in range(s):
-            out = out @ out
-    if not np.all(np.isfinite(out)):
+        out = expm(A * np.ldexp(1.0, -s)[..., None, None])
+        for i in range(int(s.max(initial=0))):
+            sq = s > i
+            out[sq] = out[sq] @ out[sq]
+    bad = ~np.isfinite(out).all(axis=(-2, -1))
+    if A.ndim == 2 and bad:
         raise SingularShootingMatrix("matrix exponential overflows")
+    out[bad] = np.nan
     return out
 
 
@@ -315,20 +325,18 @@ def _decoupled(problem: Problem, n_steps: int) -> _IntervalMap:
 
 @dataclass(frozen=True, eq=False)
 class DecoupledSolution:
-    """The finite-horizon equilibrium on the solve's decoupled basis.
+    """The finite-horizon equilibrium at the nodes of the solve's grid.
 
-    grid holds the march's nodes, and W and Z the states w and Z = D w at
-    each (every agent's inventory, then every agent's rate), with X(0)
-    snapped to x0 and X(T) as solved. map is the interval map the march
-    ran on (see _decoupled): the first k rows of w run forward in t, the
-    rest backward in T - t.
+    grid holds the march's nodes and Z the state at each (every agent's
+    inventory, then every agent's rate), with X(0) snapped to x0 and X(T)
+    as solved. map is the interval map the march ran on (see _decoupled):
+    Z = D w, where the first k rows of w run forward in t and the rest
+    backward in T - t. Between nodes, probe gives the exact inventories.
     """
 
     grid: np.ndarray
-    W: np.ndarray
     Z: np.ndarray
     map: _IntervalMap
-    drift: DriftSpec
 
     @property
     def terminal_defect(self) -> float:
@@ -348,43 +356,6 @@ class DecoupledSolution:
         X[-1] = 0.0
         return tuple(GridStrategy(grid=self.grid, positions=X[:, i], rates=self.Z[:, n + i])
                      for i in range(n))
-
-    def positions(self, t: float) -> np.ndarray:
-        """Every agent's inventory at the time t, exact between nodes to rounding.
-
-        On the interval [a, b] holding t, the forward part is e^{A_f (t - a)}
-        w_f(a) plus the exact forcing over [a, t], and the backward part
-        e^{-A_b (b - t)} w_b(b) plus its forcing over [b, t], run in T - t;
-        neither step grows past about e, and one exponential of the scaled C
-        gives both. t = 0 returns the snapped x0 and t = T exactly 0.0, as
-        the strategies do; a time before 0 or past T raises OutOfDomain, as
-        for every strategy type.
-        """
-        grid, drift = self.grid, self.drift
-        _, D, C, k, g, _, _ = self.map
-        T = float(grid[-1])
-        t = float(_in_domain(t, T))
-        n = self.Z.shape[1] // 2
-        if t == 0.0:
-            return self.Z[0, :n].copy()
-        if t >= T:
-            return np.zeros(n)
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        a, b = float(grid[j]), float(grid[j + 1])
-        Cs = C.copy()
-        Cs[:k] *= t - a
-        Cs[k:] *= b - t
-        w = _expm(Cs) @ np.concatenate([self.W[j, :k], self.W[j + 1, k:]])
-        if not drift.is_zero:
-            if t > a:
-                w[:k] += _forcing(C[:k, :k], g[:k], drift, _knots(drift, T), a, t)
-            w[k:] += _forcing(C[k:, k:], g[k:], lambda s: drift(T - s),
-                              _knots(drift, T, reverse=True), T - b, T - t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = D[:n] @ w
-        if not np.all(np.isfinite(x)):
-            raise SingularShootingMatrix("boundary solve produced non-finite values")
-        return x
 
 
 def solve_finite(problem: Problem, n_steps: int = 400) -> DecoupledSolution:
@@ -415,8 +386,112 @@ def solve_finite(problem: Problem, n_steps: int = 400) -> DecoupledSolution:
     if not np.all(np.isfinite(Z)):
         raise SingularShootingMatrix("boundary solve produced non-finite values")
     Z[0, :n] = problem.x0
-    return DecoupledSolution(grid=np.linspace(0.0, T, n_steps + 1), W=W, Z=Z, map=imap,
-                             drift=problem.market.drift)
+    return DecoupledSolution(grid=np.linspace(0.0, T, n_steps + 1), Z=Z, map=imap)
+
+
+def probe(problems: Sequence[Problem], t: float) -> list:
+    """Each problem's inventories at the time t, exact to rounding, or that point's error.
+
+    problems are validated finite problems that share n. Each is solved as
+    solve_finite(problem, 1) would, on the one interval [0, T], and probed
+    between its ends: the forward part steps e^{A_f t} from w_f(0), the
+    backward part e^{-A_b (T - t)} from w_b(T), each with the exact forcing
+    of its part of the horizon, chained over the drift's sample points.
+    Each point's split (and drift forcing) is its own; its e^{C T}, its
+    probe step and its 2n x 2n boundary system are solved stacked with
+    every other point's, and no point's value depends on the others. t = 0
+    returns x0 and t = T exactly 0.0, as the strategies do.
+
+    Failures stay per point, as the returned entry: OutOfDomain for a t
+    outside the point's horizon, SingularShootingMatrix for a spectrum that
+    does not split, an overflowing exponential, a singular boundary system
+    or non-finite inventories.
+    """
+    out: list = [None] * len(problems)
+    live, points = [], []
+    for i, p in enumerate(problems):
+        try:
+            t_i, T, drift = float(_in_domain(t, p.T)), p.T, p.market.drift
+            M, u = assemble(p)
+            D, C, k = _split(M, T)
+            forcing = None if drift.is_zero else _drift_forcing(drift, D, C, k, u, T, t_i)
+        except LiquidationGameError as exc:
+            out[i] = exc
+            continue
+        live.append(i)
+        points.append((t_i, T, D, C, k, forcing, p.x0))
+    if not live:
+        return out
+    t_l, T_l, D, C, k, forcing, x0 = zip(*points)
+    t_l, T_l, D, C, k, x0 = map(np.array, (t_l, T_l, D, C, k, x0))
+    m = C.shape[-1]
+    n = m // 2
+    zero = (np.zeros(m),) * 2
+    p, fp = (np.array(a) for a in zip(*(zero if f is None else f for f in forcing)))
+    forward = np.arange(m) < k[:, None]
+    # one exponential stack: e^{C T} and the probe step, rows scaled by t or T - t
+    rows = np.concatenate([np.broadcast_to(T_l[:, None], forward.shape),
+                           np.where(forward, t_l[:, None], (T_l - t_l)[:, None])])
+    E = _expm(np.concatenate([C, C]) * rows[..., None])
+    H, S = E[:len(live)], E[len(live):]
+    ok = np.isfinite(E).all(axis=(-2, -1)).reshape(2, -1).all(axis=0)
+    # y_0 = (w_f(0), w_b(T)) and y_1 = H y_0 + p: X(0) reads y_0's forward part
+    # and y_1's backward part, X(T) = 0 the others
+    Dx = D[:, :n]
+    Df, Db = Dx * forward[:, None], Dx * ~forward[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.concatenate([Df + Db @ H, Df @ H + Db], axis=1)
+        rhs = np.concatenate([x0 - _mv(Db, p), -_mv(Df, p)], axis=1)
+    y = np.full((len(live), m), np.nan)
+    try:
+        y[ok] = np.linalg.solve(A[ok], rhs[ok, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for j in np.flatnonzero(ok):  # find the singular ones
+            try:
+                y[j] = np.linalg.solve(A[j:j + 1], rhs[j:j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                out[live[j]] = SingularShootingMatrix("boundary system is singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _mv(Dx, _mv(S, y) + fp)
+    for j, i in enumerate(live):
+        if out[i] is not None:
+            continue
+        if not ok[j]:
+            out[i] = SingularShootingMatrix("matrix exponential overflows")
+        elif not np.all(np.isfinite(x[j])):
+            out[i] = SingularShootingMatrix("boundary solve produced non-finite values")
+        elif t_l[j] == 0.0:
+            out[i] = x0[j]
+        elif t_l[j] >= T_l[j]:
+            out[i] = np.zeros(n)
+        else:
+            out[i] = x[j]
+    return out
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_j v_j for each j of a stack of matrices and vectors."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _drift_forcing(drift: DriftSpec, D, C, k: int, u, T: float, t: float):
+    """The forcing of one point over [0, T] and over its probe step to t, in w = D^-1 Z.
+
+    The forward rows integrate over [0, t] in t, the backward ones over
+    [0, T - t] in s = T - t, on the drift reversed in time (see _forcing);
+    an empty step, at t = 0 or t >= T, gives zero.
+    """
+    g = np.linalg.solve(D, u)
+    g[k:] *= -1.0  # the backward part runs in s = T - t
+    parts = (
+        (C[:k, :k], g[:k], drift, _knots(drift, T)),
+        (C[k:, k:], g[k:], lambda r: drift(T - r), _knots(drift, T, reverse=True)),
+    )
+    whole = np.concatenate([_forcing(*a, 0.0, T) for a in parts])
+    step = np.zeros(C.shape[0])
+    if 0.0 < t < T:
+        step = np.concatenate([_forcing(*a, 0.0, hi) for a, hi in zip(parts, (t, T - t))])
+    return whole, step
 
 
 # ---------------------------------------------------------------------------

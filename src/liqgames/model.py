@@ -176,10 +176,13 @@ class DriftSpec:
             raise InvalidParam("drift", "expected an object with a 'type' field")
         kind = d["type"]
         if kind == "zero":
+            _known_keys("drift", d, ("type",))
             return cls.zero()
         if kind == "constant":
+            _known_keys("drift", d, ("type", "value"))
             return cls.constant(d.get("value", 0.0))
         if kind == "sampled":
+            _known_keys("drift", d, ("type", "grid", "values"))
             return cls.sampled(d.get("grid"), d.get("values"))
         raise InvalidParam("drift", f"unknown kind {kind!r}")
 
@@ -263,10 +266,12 @@ class Horizon:
         if not isinstance(d, dict) or "type" not in d:
             raise InvalidParam("horizon", "expected an object with a 'type' field")
         if d["type"] == "finite":
+            _known_keys("horizon", d, ("type", "T"))
             if "T" not in d:
                 raise InvalidParam("horizon", "finite horizon needs T")
             return cls.finite(d["T"])
         if d["type"] == "infinite":
+            _known_keys("horizon", d, ("type",))
             return cls.infinite()
         raise InvalidParam("horizon", f"unknown type {d['type']!r}")
 
@@ -651,6 +656,17 @@ def system_matrix(market: MarketParams, alphas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _known_keys(section: str, d: dict, keys) -> None:
+    """InvalidParam naming the first key of a problem-file object that is not one of keys.
+
+    A misspelt optional field would otherwise be ignored, and its default
+    solved in its place.
+    """
+    for key in d:
+        if key not in keys:
+            raise InvalidParam(section, f"unknown key {key!r}")
+
+
 def problem_to_dict(problem: Problem) -> dict:
     m = problem.market
     return {
@@ -669,6 +685,7 @@ def problem_to_dict(problem: Problem) -> dict:
 def problem_from_dict(d: dict) -> Problem:
     if not isinstance(d, dict):
         raise InvalidParam("config", "top level must be an object")
+    _known_keys("config", d, ("market", "agents", "horizon"))
     try:
         md = d["market"]
         ad = d["agents"]
@@ -677,6 +694,7 @@ def problem_from_dict(d: dict) -> Problem:
         raise InvalidParam("config", f"missing section: {exc}") from exc
     if not isinstance(md, dict):
         raise InvalidParam("market", "must be an object")
+    _known_keys("market", md, ("lambda", "gamma", "sigma", "s0", "drift"))
     if "lambda" not in md:
         raise InvalidParam("lambda", "missing")
     market = MarketParams(
@@ -692,6 +710,7 @@ def problem_from_dict(d: dict) -> Problem:
     for entry in ad:
         if not isinstance(entry, dict) or "x0" not in entry:
             raise InvalidParam("agents", "each agent needs x0 (and alpha)")
+        _known_keys("agents", entry, ("x0", "alpha"))
         agents.append(AgentSpec(x0=entry["x0"], alpha=entry.get("alpha", 0.0)))
     horizon = Horizon.from_dict(hd)
     return validate_problem(market, agents, horizon)

@@ -800,6 +800,44 @@ def test_scan_probes_exactly_between_nodes(drift, parameter, values, T):
         assert abs(row.probe_value - ref.positions[5]) <= 1e-12 * np.max(np.abs(problem.x0))
 
 
+def test_probe_value_does_not_depend_on_its_batch():
+    # a scan probes its bvp points in one stack; each point alone must give
+    # the same bits, and a point out of its horizon must not disturb the rest
+    market = MarketParams(lam=1.0, gamma=0.6, sigma=0.9, s0=10.0)
+    agents = (AgentSpec(1.12, 0.4), AgentSpec(2.06, 1.3))
+    problem = validate_problem(market, agents, Horizon.finite(3.0))
+    for parameter, values, t in (("lambda", np.linspace(0.5, 2.0, 61), 1.0),
+                                 ("T", np.linspace(0.5, 1.5, 61), 1.2)):
+        points = [analysis._scan_problem(problem, parameter, v) for v in values]
+        together = bvp.probe(points, t)
+        rows = analysis.parameter_scan(problem, parameter, values, probe=(1, t))
+        for v, point, x, row in zip(values, points, together, rows):
+            [alone] = bvp.probe([point], t)
+            if parameter == "T" and v < t:
+                assert isinstance(x, OutOfDomain) and isinstance(alone, OutOfDomain)
+                assert row.status == "OutOfDomain"
+                continue
+            assert np.array_equal(x, alone)
+            assert row.status == "ok" and row.probe_value == alone[1]
+    assert sum(r.status == "OutOfDomain" for r in rows) == 42
+
+
+def test_scan_over_agent_count_with_drift():
+    # each agent count is its own batch; t = 0.75 is node 15 of the reference
+    market = MarketParams(lam=0.8, gamma=0.5, sigma=1.1, s0=10.0, drift=DriftSpec.constant(0.3))
+    agents = (AgentSpec(1.5, 0.7), AgentSpec(-0.4, 0.7), AgentSpec(2.2, 0.7))
+    problem = validate_problem(market, agents, Horizon.finite(2.0))
+    counts = [1, 2, 3, 4, 2, 4]
+    rows = analysis.parameter_scan(problem, "n", counts, probe=(0, 0.75))
+    for count, row in zip(counts, rows):
+        point = analysis._scan_problem(problem, "n", count)
+        assert analysis.compute_equilibrium(point, 8)[1] == "bvp"
+        ref = bvp.solve_finite(point, 40).strategies[0]
+        assert ref.grid[15] == 0.75
+        assert row.status == "ok"
+        assert abs(row.probe_value - ref.positions[15]) <= 1e-12 * np.max(np.abs(point.x0))
+
+
 def test_nan_times_raise_out_of_domain():
     # NaN fails every comparison, so each bound must be a test that NaN fails
     problem = two_agent_problem()

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from liqgames import analysis, bvp, closed_form
-from liqgames.errors import HorizonMismatch, InvalidParam, OutOfDomain
+from liqgames.errors import HorizonMismatch, InvalidParam, OutOfDomain, SingularShootingMatrix
 from liqgames.model import (
     AgentSpec,
     DriftSpec,
@@ -302,49 +302,114 @@ def test_node_rates_are_exact():
 # ---------------------------------------------------------------------------
 
 
+def test_stacked_exponential_matches_each_matrix_alone():
+    # each matrix of a stack is scaled and squared its own number of times,
+    # so it gets the bits it gets alone; one that overflows is marked alone
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(6, 4, 4)) * np.array([1e-3, 0.5, 3.0, 40.0, 700.0, 2.0])[:, None, None]
+    stack[2] = np.triu(stack[2])
+    stack[4] = np.abs(stack[4])  # positive entries of size 700: e^A is far past the float range
+    squarings = np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1))[1] - 2
+    assert len(set(np.maximum(squarings, 0).tolist())) >= 4
+    out = bvp._expm(stack)
+    for i, A in enumerate(stack):
+        if i == 4:
+            with pytest.raises(SingularShootingMatrix):
+                bvp._expm(A)
+            assert np.all(np.isnan(out[i]))
+        else:
+            assert np.array_equal(out[i], bvp._expm(A))
+            assert np.allclose(out[i], expm(A), rtol=1e-10, atol=0.0)
+
+
+def probe_one(problem, t):
+    """The inventories of one problem at t, alone in its batch."""
+    [x] = bvp.probe([problem], t)
+    return x
+
+
 @pytest.mark.parametrize("lam, T", [(1.0, 2.0), (1e-3, 2000.0)], ids=["mild", "very_stiff"])
 def test_one_interval_solution_matches_closed_form_between_nodes(lam, T):
     problem = make_problem(lam=lam, alphas=(0.8, 0.8, 0.8), x0=(1.0, 2.0, -1.0), T=T)
-    sol = bvp.solve_finite(problem, 1)
     reference = closed_form.equal_alpha_finite(problem.market, problem.agents, T)
     for t in T * np.array([1e-4, 0.137, 0.5, 0.731, 0.9999]):
         want = np.array([ref.position(t) for ref in reference])
-        assert np.max(np.abs(sol.positions(t) - want)) <= 1e-12 * np.max(np.abs(problem.x0))
+        assert np.max(np.abs(probe_one(problem, t) - want)) <= 1e-12 * np.max(np.abs(problem.x0))
 
 
 @pytest.mark.parametrize("drift", [None, DriftSpec.constant(0.3), kinked_drift(2.0, 9, 5)],
                          ids=["zero", "constant", "sampled"])
 def test_one_interval_and_node_solutions_agree(drift):
     # one interval and 40: the same states at both ends, rates included, and
-    # the continuous solution of the 40-node march passes through its nodes
+    # the one-interval probe passes through every node of the 40-node march
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), drift=drift)
     n = problem.n
     one = bvp.solve_finite(problem, 1)
     nodes = bvp.solve_finite(problem, 40)
-    grid = solve(problem, 40)
-    Z = np.array([s.positions for s in grid.strategies] + [s.rates for s in grid.strategies]).T
+    Z = np.array([s.positions for s in nodes.strategies] + [s.rates for s in nodes.strategies]).T
     scale = np.max(np.abs(Z))
     assert np.max(np.abs(one.Z[[0, -1], n:] - Z[[0, -1], n:])) <= 1e-12 * scale
-    assert np.array_equal(one.positions(0.0), problem.x0)
-    assert np.array_equal(one.positions(2.0), np.zeros(n))
+    assert np.array_equal(probe_one(problem, 0.0), problem.x0)
+    assert np.array_equal(probe_one(problem, 2.0), np.zeros(n))
     assert np.abs(one.Z[-1, :n]).max() <= 1e-12 * scale
     for t, z in zip(nodes.grid[1:-1], nodes.Z[1:-1]):
-        assert np.max(np.abs(nodes.positions(t) - z[:n])) <= 1e-13 * scale
+        assert np.max(np.abs(probe_one(problem, t) - z[:n])) <= 1e-13 * scale
 
 
 def test_continuous_solution_domain_and_ends():
     problem = make_problem(alphas=(0.4, 1.3), drift=DriftSpec.constant(0.3))
-    sol = bvp.solve_finite(problem, 1)
-    assert np.array_equal(sol.positions(0.0), problem.x0)
+    assert np.array_equal(probe_one(problem, 0.0), problem.x0)
     # exactly zero at T and up to the rounding slack past it, as grid strategies
     for t in (2.0, 2.0 * (1 + 1e-13)):
-        x = sol.positions(t)
+        x = probe_one(problem, t)
         assert np.array_equal(x, np.zeros(2)) and not np.any(np.signbit(x))
     for bad in (-1e-9, 2.0 + 1e-6, math.nan):
-        with pytest.raises(OutOfDomain):
-            sol.positions(bad)
+        assert isinstance(probe_one(problem, bad), OutOfDomain)
     with pytest.raises(InvalidParam):
         bvp.solve_finite(problem, 0)
+
+
+def test_probe_stacks_points_of_any_drift():
+    # zero, constant and sampled drifts, mild and stiff, in one stack: each
+    # point keeps the bits it gets alone
+    points = [make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0), lam=lam, drift=drift)
+              for drift in (None, DriftSpec.constant(0.3), kinked_drift(2.0, 9, 5))
+              for lam in (1.0, 0.02)]
+    for t in (0.0, 0.37, 1.5, 2.0):
+        together = bvp.probe(points, t)
+        for p, x in zip(points, together):
+            assert np.array_equal(x, probe_one(p, t))
+
+
+def test_probe_failures_stay_per_point(monkeypatch):
+    # a spectrum that does not split, an overflowing exponential, a singular
+    # boundary system and non-finite inventories each mark their own point;
+    # the others keep the values they take alone
+    good = [make_problem(alphas=(0.4, 1.3), x0=(1.0, x)) for x in (0.5, 1.5, 2.5)]
+    alone = [probe_one(p, 0.005) for p in good]
+    huge = make_problem(alphas=(0.4, 1.3), x0=(1e308, 1e308), T=0.01)
+    real = bvp._split
+    faults = iter([None, "no_split", None, "overflow", "singular", None, None])
+
+    def split(M, T):
+        fault = next(faults)
+        if fault == "no_split":
+            raise SingularShootingMatrix("the spectrum of M does not split")
+        D, C, k = real(M, T)
+        if fault == "overflow":
+            C = -1e6 * C  # every decaying mode grows instead
+        if fault == "singular":
+            D = D.copy()
+            D[:2] = 0.0  # no inventory to pin: the boundary system is all zero
+        return D, C, k
+
+    monkeypatch.setattr(bvp, "_split", split)
+    out = bvp.probe([good[0], good[0], good[1], good[1], good[1], good[2], huge], 0.005)
+    for got, want in zip((out[0], out[2], out[5]), alone):
+        assert np.array_equal(got, want)
+    for i, message in ((1, "does not split"), (3, "overflows"), (4, "singular"),
+                       (6, "non-finite")):
+        assert isinstance(out[i], SingularShootingMatrix) and message in str(out[i])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from liqgames.model import (
     MarketParams,
     dump_problem,
     load_problem,
+    problem_from_dict,
+    problem_to_dict,
     validate_problem,
 )
 
@@ -337,6 +339,51 @@ def test_problem_fields_must_be_numbers(tmp_path, capsys, section, key, value):
     assert err.startswith("error: invalid parameter") and err.count("\n") == 1, err
     assert not out.exists()
     assert not (tmp_path / "eq.json").exists()
+
+
+_UNKNOWN_KEYS = [
+    ("top", "extra"),
+    ("market", "lamda"),
+    ("drift", "valeu"),  # once solved with drift 0
+    ("sampled", "value"),
+    ("zero", "value"),
+    ("agent", "aplha"),  # once solved with alpha 0
+    ("horizon", "extra"),
+    ("infinite", "T"),
+]
+
+
+@pytest.mark.parametrize("section, key", _UNKNOWN_KEYS,
+                         ids=[f"{s}.{k}" for s, k in _UNKNOWN_KEYS])
+def test_unknown_problem_keys_are_config_errors(tmp_path, capsys, section, key):
+    # a misspelt optional field would be ignored and its default solved:
+    # every object names only its known keys, or nothing is written
+    drift = {"sampled": {"type": "sampled", "grid": [0.0, 2.0], "values": [0.1, 0.2]},
+             "zero": {"type": "zero"},
+             "infinite": {"type": "zero"}}.get(section, {"type": "constant", "value": 0.3})
+    market = {"lambda": 1.0, "gamma": 1.0, "sigma": 1.0, "s0": 10.0, "drift": drift}
+    agent = {"x0": 1.12, "alpha": 0.5}
+    horizon = {"type": "infinite"} if section == "infinite" else {"type": "finite", "T": 2.0}
+    problem = {"market": market, "agents": [agent, {"x0": 2.06, "alpha": 1.5}],
+               "horizon": horizon}
+    target = {"top": problem, "market": market, "agent": agent, "horizon": horizon,
+              "infinite": horizon}.get(section, drift)
+    target[key] = 1.0
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameter") and f"unknown key '{key}'" in err, err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+    assert not (tmp_path / "eq.json").exists()
+    # without it, the same file solves, and its problem round-trips
+    del target[key]
+    src.write_text(json.dumps(problem))
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 0
+    assert problem_to_dict(problem_from_dict(problem_to_dict(load_problem(str(src))))) == \
+        problem_to_dict(load_problem(str(src)))
 
 
 def test_usage_errors_map_to_exit_1(tmp_path, problem_file, capsys):
