@@ -666,14 +666,15 @@ def parameter_scan(
 
     probe is (agent_index, time); the probe value is that agent's inventory.
     Scanning "n" keeps agent 1 fixed and splits the remaining aggregate
-    inventory evenly; "alpha_sigma2" sets one common risk aversion. A point
-    on a closed-form route (see compute_equilibrium) is probed on its
-    closed form. The points on the bvp route are probed together, one
-    bvp.probe call per agent count: each is solved exactly on one interval
-    [0, T] and probed there, exact at every t (the forcing of a sampled
-    drift is chained over its sample points, so no grid is needed), and
-    its value does not depend on the other points. Failures at individual
-    points, including a probe time outside a point's horizon
+    inventory evenly; "alpha_sigma2" sets one common risk aversion. Every
+    finite-horizon point is probed through bvp.probe, closed-form cases
+    included, one stacked call per agent count: each is solved exactly on
+    one interval [0, T] and probed there, exact at every t (the forcing of
+    a sampled drift is chained over its sample points, so no grid is
+    needed), and its value does not depend on the other points. An
+    infinite-horizon point is probed on its closed form (see
+    compute_equilibrium). Each point is validated alone. Failures at
+    individual points, including a probe time outside a point's horizon
     (OutOfDomain), are recorded in the status column, not raised.
     """
     if parameter not in _SCAN_PARAMS:
@@ -681,20 +682,20 @@ def parameter_scan(
     agent_index, t_probe = probe
     values = [float(v) for v in values]
     found = [None] * len(values)  # each point's probe value or error
-    bvp_points = {}  # agent count -> [(index, problem)]
+    finite = {}  # agent count -> [(index, problem)]
     for i, v in enumerate(values):
         try:
             p2 = _scan_problem(problem, parameter, v)
             if not 0 <= agent_index < p2.n:
                 raise InvalidParam("probe", "agent index out of range")
-            if _bvp_route(p2):
-                bvp_points.setdefault(p2.n, []).append((i, p2))
+            if p2.horizon.is_finite:
+                finite.setdefault(p2.n, []).append((i, p2))
                 continue
             strategies, _ = compute_equilibrium(p2)
             found[i] = float(strategies[agent_index].position(t_probe))
         except LiquidationGameError as exc:
             found[i] = exc
-    for points in bvp_points.values():
+    for points in finite.values():
         index, problems = zip(*points)
         for i, x in zip(index, bvp.probe(problems, t_probe)):
             found[i] = x if isinstance(x, LiquidationGameError) else float(x[agent_index])

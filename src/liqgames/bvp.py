@@ -39,9 +39,12 @@ DecoupledSolution's strategies are the agents' GridStrategy at the nodes.
 The forcing of each interval is chained over the drift's sample points
 inside it, so every drift needs only one interval, and the solution is
 exact between nodes too: probe solves a batch of problems on one interval
-each and reads their inventories at any t, with every point's exponentials
-and boundary system stacked into one computation. parameter_scan probes its
-bvp points so.
+each and reads their inventories at any t as one stacked computation: the
+system matrices are built in one expression, split in one call (one Schur
+form per distinct matrix, see _split), and every point's exponentials
+(numpy's Pade-13 over the stack, see _expm) and boundary system are
+stacked. parameter_scan probes every finite point of a scan so; closed
+forms serve only its infinite-horizon points.
 
 _decoupled owns the interval map of a (problem, n_steps): one read-only
 record, kept for the last pair asked. The solve marches it, and
@@ -65,7 +68,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import HorizonMismatch, InvalidParam, LiquidationGameError, SingularShootingMatrix
 from .model import (DriftSpec, GridStrategy, Problem, _check_profile, _exp_sum_drift, _in_domain,
-                    _mode_table, _sample_profile, system_matrix)
+                    _mode_table, _sample_profile, _system_matrices)
 
 __all__ = [
     "DecoupledSolution",
@@ -84,10 +87,18 @@ _KNOT_SNAP = 1e-9
 
 def assemble(problem: Problem) -> Tuple[np.ndarray, np.ndarray]:
     """(M, u) of dZ/dt = M Z + b(t) u for a validated problem."""
-    n = problem.n
-    u = np.zeros(2 * n)
-    u[n:] = -1.0 / (problem.market.lam * (n + 1))
-    return system_matrix(problem.market, problem.alphas), u
+    M, u = _assemble([problem])
+    return M[0], u[0]
+
+
+def _assemble(problems: Sequence[Problem]) -> Tuple[np.ndarray, np.ndarray]:
+    """assemble of validated problems that share n, as stacks (P, 2n, 2n) and (P, 2n)."""
+    n = problems[0].n
+    lam, gamma, sigma2 = np.array([(p.market.lam, p.market.gamma, p.market.sigma**2)
+                                   for p in problems]).T
+    u = np.zeros((len(problems), 2 * n))
+    u[:, n:] = (-1.0 / (lam * (n + 1)))[:, None]
+    return _system_matrices(lam, gamma, sigma2, np.array([p.alphas for p in problems])), u
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +128,21 @@ class ResidualReport:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A of one m x m matrix, or of each matrix in a stack (..., m, m).
+    """e^A of one m x m matrix, or of each matrix in a stack (P, m, m).
 
-    Each matrix is scaled to 1-norm < 4, where scipy's expm does not
-    square, and squared here its own number of times: scipy's squaring of
-    triangular input (Schur blocks are) cancels for close but unequal
-    diagonal entries. A single matrix that overflows raises
+    Each matrix is scaled to 1-norm < 4 and squared back here its own
+    number of times. A single matrix takes scipy's expm, which does not
+    square below that norm; scipy's squaring of triangular input (Schur
+    blocks are) cancels for close but unequal diagonal entries. A stack
+    takes the [13/13] Pade approximant in numpy (_pade13), with no loop
+    over its matrices. A single matrix that overflows raises
     SingularShootingMatrix; in a stack, each one that overflows comes back
     all NaN, and the others are unaffected.
     """
     s = np.maximum(0, np.frexp(np.abs(A).sum(axis=-2).max(axis=-1))[1] - 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = expm(A * np.ldexp(1.0, -s)[..., None, None])
+        scaled = A * np.ldexp(1.0, -s)[..., None, None]
+        out = expm(scaled) if A.ndim == 2 else _pade13(scaled)
         for i in range(int(s.max(initial=0))):
             sq = s > i
             out[sq] = out[sq] @ out[sq]
@@ -137,6 +151,32 @@ def _expm(A: np.ndarray) -> np.ndarray:
         raise SingularShootingMatrix("matrix exponential overflows")
     out[bad] = np.nan
     return out
+
+
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of e^x.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
+def _pade13(A: np.ndarray) -> np.ndarray:
+    """The [13/13] Pade approximant of e^A for each matrix of a stack of 1-norm below 4.
+
+    Below theta_13 = 5.37 its backward error is at unit roundoff, with no
+    squaring (Higham, The scaling and squaring method for the matrix
+    exponential revisited, SIAM J. Matrix Anal. Appl. 2005): six products
+    and one solve per matrix, all stacked.
+    """
+    b = _PADE13
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    return np.linalg.solve(V - U, V + U)
 
 
 def _propagators(M: np.ndarray, u: np.ndarray, h: float):
@@ -197,33 +237,64 @@ def _forcing_steps(M, u, drift: DriftSpec, T: float, n_steps: int, p1, p2,
     return steps
 
 
-def _split(M: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray, int]:
-    """D, C = blockdiag(A_f, -A_b) and k = dim A_f, with M D = D blockdiag(A_f, A_b).
+def _split(M: np.ndarray, T: np.ndarray):
+    """D, C = blockdiag(A_f, -A_b), k = dim A_f and ok, for each M of a stack (P, 2n, 2n).
 
-    Sorted, the real parts r_j of M's eigenvalues split after r_k when
-    r_k T <= 1 and r_{k+1} T >= -1 (k = count(r_j T < -1) always does), so
-    neither e^{A_f t} nor e^{-A_b t} grows past about e on [0, T]. The
-    widest such gap wins, an end counting as infinite, so slow modes stay
-    together. M = [[0, I], [A, B]] is balanced by scaling rates by c >= 1, a
-    power of two near sqrt|A|, so fast modes keep inventory parts; its real
-    Schur form is reordered (trsen) with the eigenvalues below, then above,
-    the gap's midpoint first, and D = diag(1, c) [Q_f Q_b]. C runs the
-    backward part in T - t.
+    M D = D blockdiag(A_f, A_b) for each matrix and its horizon, T of
+    shape (P,). Sorted, the real parts r_j of M's eigenvalues split after
+    r_k when r_k T <= 1 and r_{k+1} T >= -1 (k = count(r_j T < -1) always
+    does), so neither e^{A_f t} nor e^{-A_b t} grows past about e on
+    [0, T]. The widest such gap (a, b) wins, an end counting as infinite,
+    so slow modes stay together; of equal widths the upper gap wins, as
+    max((b - a, a, b)) orders them. M = [[0, I], [A, B]] is balanced by
+    scaling rates by c >= 1, a power of two near sqrt|A|, so fast modes keep
+    inventory parts; its real Schur form is reordered (trsen) with the
+    eigenvalues below, then above, the gap's midpoint first, and D =
+    diag(1, c) [Q_f Q_b]. C runs the backward part in T - t.
+
+    Equal balanced matrices share one Schur form (dgees), so a scan over T
+    takes one; each matrix takes its own pair of reorderings and gets the
+    bits it gets alone. ok is False where the spectrum does not split; that
+    matrix's D, C and k are then meaningless.
     """
-    n = M.shape[0] // 2
-    a = max(1.0, np.abs(M[n:, :n]).sum(axis=1).max())
-    scale = np.repeat([1.0, 2.0 ** (math.frexp(a)[1] // 2)], n)
-    S, _, r, _, Q, _, bad = dgees(lambda re, im: False, M * scale / scale[:, None])  # unsorted
-    rs = [-math.inf] + sorted(r.tolist()) + [math.inf]
-    _, lo, hi = max((b - a, a, b) for a, b in zip(rs, rs[1:]) if a * T <= 1.0 and b * T >= -1.0)
-    cut = (lo + hi) / 2.0
-    (A_f, Q_f, *_, k, _, _, bad_f), (A_b, Q_b, *_, k_b, _, _, bad_b) = (
-        dtrsen(select.astype(np.int32), S, Q, job="N") for select in (r < cut, r > cut))
-    if bad or bad_f or bad_b:
-        raise SingularShootingMatrix(f"the spectrum of M does not split at {cut}")
-    C = np.zeros_like(M)
-    C[:k, :k], C[k:, k:] = A_f[:k, :k], -A_b[:k_b, :k_b]
-    return scale[:, None] * np.hstack([Q_f[:, :k], Q_b[:, :k_b]]), C, k
+    P, m, _ = M.shape
+    n = m // 2
+    a = np.maximum(1.0, np.abs(M[:, n:, :n]).sum(axis=-1).max(axis=-1))
+    scale = np.ones((P, m))
+    scale[:, n:] = np.ldexp(1.0, np.frexp(a)[1] // 2)[:, None]
+    balanced = M * scale[:, None, :] / scale[:, :, None]
+    keys = [B.tobytes() for B in balanced]
+    schur = {}
+    for key, B in zip(keys, balanced):
+        if key not in schur:
+            S, _, r, _, Q, _, info = dgees(lambda re, im: False, B)  # unsorted
+            schur[key] = S, r, Q, info
+    S, r, Q, info = map(np.array, zip(*map(schur.get, keys)))
+    # the gaps (a, b) of the sorted real parts, ends at -inf and inf
+    rs = np.full((P, m + 2), np.inf)
+    rs[:, 0], rs[:, 1:-1] = -np.inf, np.sort(r, axis=1)
+    lo, hi = rs[:, :-1], rs[:, 1:]
+    fits = (lo * T[:, None] <= 1.0) & (hi * T[:, None] >= -1.0)
+    width = np.where(fits, hi - lo, -np.inf)
+    # sorted gaps: the last of the widest has the largest a, then b
+    gap = m - np.argmax(width[:, ::-1], axis=1)
+    cut = ((lo + hi) / 2.0)[np.arange(P), gap]
+    ok = (info == 0) & fits.any(axis=1) & np.isfinite(r).all(axis=1)
+    k = np.zeros(P, dtype=int)
+    A_f, Q_f, A_b, Q_b = np.zeros((4, P, m, m))
+    below, above = (r < cut[:, None]).astype(np.int32), (r > cut[:, None]).astype(np.int32)
+    for i in np.flatnonzero(ok):
+        A_f[i], Q_f[i], *_, k[i], _, _, bad_f = dtrsen(below[i], S[i], Q[i], job="N")
+        A_b[i], Q_b[i], *_, k_b, _, _, bad_b = dtrsen(above[i], S[i], Q[i], job="N")
+        ok[i] = not (bad_f or bad_b) and k[i] + k_b == m
+    # row and column j >= k of the backward block are row and column j - k of A_b, Q_b
+    j = np.arange(m)
+    fwd = j < k[:, None]
+    back, at = (j - k[:, None]) % m, np.arange(P)[:, None, None]
+    Q_fb = np.where(fwd[:, None, :], Q_f, Q_b[at, j[:, None], back[:, None, :]])
+    A_bb = A_b[at, back[:, :, None], back[:, None, :]]
+    C = np.where(fwd[:, :, None] == fwd[:, None, :], np.where(fwd[:, :, None], A_f, -A_bb), 0.0)
+    return scale[:, :, None] * Q_fb, C, k, ok
 
 
 def _march(D: np.ndarray, k: int, Ch: np.ndarray, G: np.ndarray,
@@ -309,7 +380,12 @@ def _decoupled(problem: Problem, n_steps: int) -> _IntervalMap:
     """
     T, drift = problem.T, problem.market.drift
     M, u = assemble(problem)
-    D, C, k = _split(M, T)
+    D, C, k, ok = (a[0] for a in _split(M[None], np.array([T])))
+    if not ok:
+        raise SingularShootingMatrix("the spectrum of M does not split")
+    # in trsen's column-major layout, which the BLAS products of the solve
+    # and its check round by
+    D, k = np.asfortranarray(D), int(k)
     g = np.linalg.solve(D, u)
     g[k:] *= -1.0  # the backward part runs in s = T - t
     G, p1, p2 = _propagators(C, g, T / n_steps)
@@ -397,10 +473,12 @@ def probe(problems: Sequence[Problem], t: float) -> list:
     between its ends: the forward part steps e^{A_f t} from w_f(0), the
     backward part e^{-A_b (T - t)} from w_b(T), each with the exact forcing
     of its part of the horizon, chained over the drift's sample points.
-    Each point's split (and drift forcing) is its own; its e^{C T}, its
-    probe step and its 2n x 2n boundary system are solved stacked with
-    every other point's, and no point's value depends on the others. t = 0
-    returns x0 and t = T exactly 0.0, as the strategies do.
+    The points' system matrices are built as one stack and split in one
+    _split call, which takes one Schur form per distinct matrix and one
+    pair of reorderings per point; their e^{C T}, probe steps (one stacked
+    _expm) and 2n x 2n boundary systems are solved stacked too. A drift's
+    forcing is each point's own, and no point's value depends on the
+    others. t = 0 returns x0 and t = T exactly 0.0, as the strategies do.
 
     Failures stay per point, as the returned entry: OutOfDomain for a t
     outside the point's horizon, SingularShootingMatrix for a spectrum that
@@ -408,26 +486,36 @@ def probe(problems: Sequence[Problem], t: float) -> list:
     or non-finite inventories.
     """
     out: list = [None] * len(problems)
-    live, points = [], []
+    t_at = {}  # each point inside its horizon -> t as a float
     for i, p in enumerate(problems):
         try:
-            t_i, T, drift = float(_in_domain(t, p.T)), p.T, p.market.drift
-            M, u = assemble(p)
-            D, C, k = _split(M, T)
-            forcing = None if drift.is_zero else _drift_forcing(drift, D, C, k, u, T, t_i)
+            t_at[i] = float(_in_domain(t, p.T))
         except LiquidationGameError as exc:
             out[i] = exc
-            continue
-        live.append(i)
-        points.append((t_i, T, D, C, k, forcing, p.x0))
+    if not t_at:
+        return out
+    live = list(t_at)
+    M, u = _assemble([problems[i] for i in live])
+    T_l, t_l = np.array([problems[i].T for i in live]), np.array(list(t_at.values()))
+    D, C, k, split = _split(M, T_l)
+    m = M.shape[-1]
+    n = m // 2
+    p, fp = np.zeros((2, len(live), m))  # the forcing over [0, T] and over the probe step
+    for j, i in enumerate(live):
+        drift = problems[i].market.drift
+        if not split[j]:
+            out[i] = SingularShootingMatrix("the spectrum of M does not split")
+        elif not drift.is_zero:
+            try:
+                p[j], fp[j] = _drift_forcing(drift, D[j], C[j], k[j], u[j], T_l[j], t_l[j])
+            except LiquidationGameError as exc:
+                out[i] = exc
+    keep = np.array([out[i] is None for i in live])
+    live = [i for i in live if out[i] is None]
     if not live:
         return out
-    t_l, T_l, D, C, k, forcing, x0 = zip(*points)
-    t_l, T_l, D, C, k, x0 = map(np.array, (t_l, T_l, D, C, k, x0))
-    m = C.shape[-1]
-    n = m // 2
-    zero = (np.zeros(m),) * 2
-    p, fp = (np.array(a) for a in zip(*(zero if f is None else f for f in forcing)))
+    t_l, T_l, D, C, k, p, fp = (a[keep] for a in (t_l, T_l, D, C, k, p, fp))
+    x0 = np.array([problems[i].x0 for i in live])
     forward = np.arange(m) < k[:, None]
     # one exponential stack: e^{C T} and the probe step, rows scaled by t or T - t
     rows = np.concatenate([np.broadcast_to(T_l[:, None], forward.shape),

@@ -640,15 +640,23 @@ def system_matrix(market: MarketParams, alphas) -> np.ndarray:
     where A = sigma^2 diag(alpha_1..alpha_n) and J is the all-ones matrix.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
-    n = a.size
-    A = market.sigma**2 * np.diag(a)
-    J = np.ones((n, n))
+    return _system_matrices(market.lam, market.gamma, market.sigma**2, a[None])[0]
+
+
+def _system_matrices(lam, gamma, sigma2, alphas: np.ndarray) -> np.ndarray:
+    """system_matrix of a stack of markets: lam, gamma, sigma2 of shape (P,), alphas (P, n).
+
+    (J A)_ij = A_jj exactly, so each matrix gets the bits of the product form.
+    """
+    n = alphas.shape[-1]
+    lam, gamma, sigma2 = (np.reshape(v, (-1, 1, 1)) for v in (lam, gamma, sigma2))
     eye = np.eye(n)
-    lower_left = (A - J @ A / (n + 1)) / market.lam
-    lower_right = (market.gamma / market.lam) * (eye - 2.0 * J / (n + 1))
-    top = np.hstack([np.zeros((n, n)), eye])
-    bottom = np.hstack([lower_left, lower_right])
-    return np.vstack([top, bottom])
+    d = sigma2 * alphas[:, None, :]  # the diagonal of A, as a row
+    M = np.zeros((len(alphas), 2 * n, 2 * n))
+    M[:, :n, n:] = eye
+    M[:, n:, :n] = (d * eye - d / (n + 1)) / lam
+    M[:, n:, n:] = (gamma / lam) * (eye - 2.0 / (n + 1))
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -822,6 +822,31 @@ def test_probe_value_does_not_depend_on_its_batch():
     assert sum(r.status == "OutOfDomain" for r in rows) == 42
 
 
+def test_finite_scan_points_are_probed_and_infinite_ones_take_the_closed_form(monkeypatch):
+    # equal alpha, zero drift: compute_equilibrium would take the closed
+    # form; the scan probes every finite point on one interval instead
+    problem = two_agent_problem(sigma=0.9)
+    values = np.linspace(0.1, 3.0, 61)
+    real_solve = analysis.compute_equilibrium
+    monkeypatch.setattr(analysis, "compute_equilibrium", None)
+    rows = analysis.parameter_scan(problem, "alpha_sigma2", values, probe=(1, 0.7))
+    for v, row in zip(values, rows):
+        point = analysis._scan_problem(problem, "alpha_sigma2", v)
+        want = closed_form.equal_alpha_finite(point.market, point.agents, 2.0)[1].position(0.7)
+        assert row.status == "ok"
+        assert abs(row.probe_value - want) <= 1e-14 * np.max(np.abs(problem.x0))
+
+    # an infinite horizon is never probed
+    monkeypatch.setattr(analysis, "compute_equilibrium", real_solve)
+    monkeypatch.setattr(bvp, "probe", None)
+    inf = two_agent_problem(sigma=0.9, horizon=Horizon.infinite())
+    rows = analysis.parameter_scan(inf, "alpha_sigma2", values, probe=(1, 0.7))
+    for v, row in zip(values, rows):
+        point = analysis._scan_problem(inf, "alpha_sigma2", v)
+        want = closed_form.equal_alpha_infinite(point.market, point.agents)[1].position(0.7)
+        assert row.status == "ok" and row.probe_value == want
+
+
 def test_scan_over_agent_count_with_drift():
     # each agent count is its own batch; t = 0.75 is node 15 of the reference
     market = MarketParams(lam=0.8, gamma=0.5, sigma=1.1, s0=10.0, drift=DriftSpec.constant(0.3))

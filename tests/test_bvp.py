@@ -252,8 +252,8 @@ def test_lockstep_march_matches_sequential_march(n_steps):
     problem = make_problem(alphas=(0.5, 1.0, 1.8), x0=(1.0, 2.0, -1.0))
     M = bvp.assemble(problem)[0]
     m, n, T = M.shape[0], problem.n, problem.T
-    D, C, k = bvp._split(M, T)
-    assert 0 < k < m  # both marches run
+    D, C, k, ok = (a[0] for a in bvp._split(M[None], np.array([T])))
+    assert ok and 0 < k < m  # both marches run
     steps = np.random.default_rng(n_steps).normal(size=(n_steps, m))
     Ch = C * (T / n_steps)
     G = expm(Ch)
@@ -304,7 +304,8 @@ def test_node_rates_are_exact():
 
 def test_stacked_exponential_matches_each_matrix_alone():
     # each matrix of a stack is scaled and squared its own number of times,
-    # so it gets the bits it gets alone; one that overflows is marked alone
+    # so it gets the bits it gets alone, as a stack of one; one that
+    # overflows is marked alone
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(6, 4, 4)) * np.array([1e-3, 0.5, 3.0, 40.0, 700.0, 2.0])[:, None, None]
     stack[2] = np.triu(stack[2])
@@ -316,9 +317,9 @@ def test_stacked_exponential_matches_each_matrix_alone():
         if i == 4:
             with pytest.raises(SingularShootingMatrix):
                 bvp._expm(A)
-            assert np.all(np.isnan(out[i]))
+            assert np.all(np.isnan(out[i])) and np.all(np.isnan(bvp._expm(A[None])))
         else:
-            assert np.array_equal(out[i], bvp._expm(A))
+            assert np.array_equal(out[i], bvp._expm(A[None])[0])
             assert np.allclose(out[i], expm(A), rtol=1e-10, atol=0.0)
 
 
@@ -392,16 +393,16 @@ def test_probe_failures_stay_per_point(monkeypatch):
     faults = iter([None, "no_split", None, "overflow", "singular", None, None])
 
     def split(M, T):
-        fault = next(faults)
-        if fault == "no_split":
-            raise SingularShootingMatrix("the spectrum of M does not split")
-        D, C, k = real(M, T)
-        if fault == "overflow":
-            C = -1e6 * C  # every decaying mode grows instead
-        if fault == "singular":
-            D = D.copy()
-            D[:2] = 0.0  # no inventory to pin: the boundary system is all zero
-        return D, C, k
+        # one fault per slice of the stack
+        D, C, k, ok = real(M, T)
+        for i, fault in enumerate(next(faults) for _ in range(len(M))):
+            if fault == "no_split":
+                ok[i] = False
+            if fault == "overflow":
+                C[i] = -1e6 * C[i]  # every decaying mode grows instead
+            if fault == "singular":
+                D[i, :2] = 0.0  # no inventory to pin: the boundary system is all zero
+        return D, C, k, ok
 
     monkeypatch.setattr(bvp, "_split", split)
     out = bvp.probe([good[0], good[0], good[1], good[1], good[1], good[2], huge], 0.005)
@@ -410,6 +411,42 @@ def test_probe_failures_stay_per_point(monkeypatch):
     for i, message in ((1, "does not split"), (3, "overflows"), (4, "singular"),
                        (6, "non-finite")):
         assert isinstance(out[i], SingularShootingMatrix) and message in str(out[i])
+
+
+def test_split_of_a_stack_matches_each_matrix_alone():
+    # repeated eigenvalues (equal alpha), a zero and a near-zero risk
+    # aversion, a very stiff horizon, and a slow market whose spectrum lies
+    # inside [-1/T, 1/T]: both infinite end gaps fit and tie, and
+    # max((b - a, a, b)) takes the upper one, so every mode runs forward
+    points = [make_problem(alphas=(0.8, 0.8)), make_problem(alphas=(0.0, 0.0)),
+              make_problem(alphas=(1e-9, 1.3)), make_problem(alphas=(0.0, 1.3)),
+              make_problem(lam=1e-3, alphas=(0.8, 0.8), T=2000.0),
+              make_problem(lam=1.8, gamma=0.15, sigma=0.55, alphas=(0.3, 0.3), T=1.2)]
+    M = np.array([bvp.assemble(p)[0] for p in points])
+    T = np.array([p.T for p in points])
+    D, C, k, ok = bvp._split(M, T)
+    assert ok.all()
+    for i in range(len(points)):
+        D_i, C_i, k_i, ok_i = bvp._split(M[i:i + 1], T[i:i + 1])
+        assert D_i.tobytes() == D[i].tobytes() and C_i.tobytes() == C[i].tobytes()
+        assert (k_i[0], ok_i[0]) == (k[i], ok[i])
+    r = np.linalg.eigvals(M[-1]).real
+    assert np.all(np.abs(r) * T[-1] <= 1.0)
+    rs = [-math.inf] + sorted(r.tolist()) + [math.inf]
+    _, lo, hi = max((b - a, a, b) for a, b in zip(rs, rs[1:]) if a * T[-1] <= 1.0 and b * T[-1] >= -1.0)
+    assert hi == math.inf and k[-1] == 4
+    assert 0 < k[0] < 4 and 0 < k[-2] < 4
+
+
+def test_scan_over_T_takes_one_schur_form(monkeypatch):
+    # M does not depend on T, so a T scan's 61 points share one dgees
+    calls = []
+    real = bvp.dgees
+    monkeypatch.setattr(bvp, "dgees", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rows = analysis.parameter_scan(make_problem(alphas=(0.4, 1.3)), "T", np.linspace(1.5, 3.0, 61),
+                                   probe=(1, 1.0))
+    assert all(r.status == "ok" for r in rows)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +487,8 @@ def test_grid_residual_certifies_the_split(monkeypatch):
     real = bvp._split
 
     def skewed(M, T):
-        D, C, k = real(M, T)
-        return D + 1e-6 * np.max(np.abs(D)), C, k
+        D, C, k, ok = real(M, T)
+        return D + 1e-6 * np.max(np.abs(D), axis=(-2, -1), keepdims=True), C, k, ok
 
     monkeypatch.setattr(bvp, "_split", skewed)
     report = bvp.residual_report(solve(problem, 400).strategies, problem)
