@@ -77,7 +77,6 @@ def spectral(market: MarketParams, alpha: float, n: int) -> SpectralData:
         rho_minus=rho_mid - rho_hat,
         kappa=kappa,
         xi=xi,
-        system_matrix=system_matrix(market, np.full(n, float(alpha))),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -313,10 +313,12 @@ class Problem:
 def validate_problem(market: MarketParams, agents: Sequence[AgentSpec], horizon: Horizon) -> Problem:
     """Check a parameter set for solvability and return the validated problem.
 
-    Finite horizons accept any number of agents with alpha >= 0 and any drift
-    covering [0, T]. Infinite horizons require sigma > 0, alpha > 0 for every
-    agent, vanishing drift, and either equal risk aversions or exactly two
-    agents.
+    The system matrix must be finite: InvalidParam("sigma") when alpha sigma^2
+    overflows, InvalidParam("lambda") when alpha sigma^2 / lam or gamma / lam
+    does. Finite horizons accept any number of agents with alpha >= 0 and any
+    drift covering [0, T]. Infinite horizons require sigma > 0, alpha > 0 for
+    every agent, vanishing drift, and either equal risk aversions or exactly
+    two agents.
     """
     if not isinstance(market, MarketParams):
         raise InvalidParam("market", "must be a MarketParams")
@@ -328,6 +330,12 @@ def validate_problem(market: MarketParams, agents: Sequence[AgentSpec], horizon:
             raise InvalidParam("agents", "entries must be AgentSpec")
     if not isinstance(horizon, Horizon):
         raise InvalidParam("horizon", "must be a Horizon")
+    # system_matrix's largest entries are alpha sigma^2 / lam and gamma / lam
+    as2 = market.sigma * market.sigma * max(a.alpha for a in agents)
+    if not math.isfinite(as2):
+        raise InvalidParam("sigma", "alpha sigma^2 overflows the float range")
+    if not math.isfinite(max(as2, market.gamma) / market.lam):
+        raise InvalidParam("lambda", "alpha sigma^2 / lambda or gamma / lambda overflows")
 
     if horizon.is_finite:
         if not market.drift.covers(horizon.T):
@@ -410,8 +418,8 @@ class ExpSumStrategy:
         if not isinstance(self.horizon, Horizon):
             raise InvalidParam("horizon", "must be a Horizon")
         if self.horizon.is_finite:
-            x_end = abs(self.position(self.horizon.T))
-            if x_end > 1e-12 * max(1.0, abs(self.position(0.0))):
+            x_start, x_end = self.position(np.array([0.0, self.horizon.T]))
+            if abs(x_end) > 1e-12 * max(1.0, abs(x_start)):
                 raise InvalidParam("terms", "finite-horizon strategy must end at zero inventory")
         else:
             if np.any(self.rates >= 0):
@@ -419,10 +427,14 @@ class ExpSumStrategy:
 
     def _accumulate(self, t, derivative: bool):
         t = _in_domain(t, self.horizon.T)
-        out = np.zeros_like(t)
-        for c, r, a in zip(self.coefs, self.rates, self.anchors):
-            e = np.exp(r * (t - a))
-            out += c * e * (r if derivative else 1.0)
+        # summed from 0.0 in term order, the bits of a per-term loop (numpy sums 8 or
+        # more terms pairwise when t is a single point; closed forms have at most 4)
+        column = (-1,) + (1,) * t.ndim
+        r = self.rates.reshape(column)
+        terms = self.coefs.reshape(column) * np.exp(r * (t - self.anchors.reshape(column)))
+        if derivative:
+            terms *= r
+        out = np.add.reduce(terms, axis=0, initial=0.0)
         return out if out.ndim else float(out)
 
     def position(self, t):
@@ -587,17 +599,17 @@ Strategy = Union[ExpSumStrategy, GridStrategy]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectralData:
-    """Mode structure of the equilibrium dynamics for one parameter set.
+    """Mode rates of the equal-alpha equilibrium for one parameter set.
 
     theta_plus/theta_minus are the growth/decay rates of the inventory
-    differences from the average; rho_plus/rho_minus drive the aggregate.
-    kappa is the single-agent decay rate sqrt(alpha sigma^2 / (2 lam)). xi is
-    the dimensionless competition ratio 4 alpha sigma^2 lam / gamma^2, None
-    when gamma = 0 (role classification then falls back to the rate gap).
-    quartic_roots holds the two decaying rates of the heterogeneous
-    two-player infinite-horizon case when applicable.
+    differences from the average; rho_plus/rho_minus drive the aggregate;
+    theta_hat and rho_hat are the half-gaps of each pair. kappa is the
+    single-agent decay rate sqrt(alpha sigma^2 / (2 lam)). xi is the
+    dimensionless competition ratio 4 alpha sigma^2 lam / gamma^2, None when
+    gamma = 0 (role classification then falls back to the rate gap). All are
+    scalars: the 2n x 2n matrix they come from is system_matrix.
     """
 
     theta_hat: float
@@ -608,25 +620,10 @@ class SpectralData:
     rho_minus: float
     kappa: float
     xi: Optional[float]
-    system_matrix: np.ndarray
-    quartic_roots: Optional[Tuple[float, float]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "system_matrix", _freeze(self.system_matrix))
 
     def to_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "rho_hat": self.rho_hat,
-            "theta_plus": self.theta_plus,
-            "theta_minus": self.theta_minus,
-            "rho_plus": self.rho_plus,
-            "rho_minus": self.rho_minus,
-            "kappa": self.kappa,
-            "xi": self.xi,
-            "quartic_roots": list(self.quartic_roots) if self.quartic_roots else None,
-            "system_matrix": [list(map(float, row)) for row in self.system_matrix],
-        }
+        """The sidecar's spectral block; its quartic_roots, set for two distinct alphas, is None."""
+        return {**asdict(self), "quartic_roots": None}
 
 
 def system_matrix(market: MarketParams, alphas) -> np.ndarray:

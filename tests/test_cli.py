@@ -76,6 +76,40 @@ def test_equilibrium_csv_and_sidecar(tmp_path, problem_file, capsys):
     assert abs(sampled_e - exact_e) < 1e-6 * abs(exact_e)
 
 
+_SPECTRAL_KEYS = {"theta_plus", "theta_minus", "rho_plus", "rho_minus", "theta_hat",
+                  "rho_hat", "kappa", "xi", "quartic_roots"}
+
+
+@pytest.mark.parametrize("horizon", [Horizon.finite(1.5), Horizon.infinite()],
+                         ids=["finite", "infinite"])
+def test_equal_alpha_sidecar_spectral_holds_the_mode_rates_only(tmp_path, horizon):
+    # the scalar rates of closed_form.spectral; the 2n x 2n system matrix is not written
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    agents = [AgentSpec(x, 0.7) for x in np.linspace(-1.0, 3.0, 20)]
+    src = tmp_path / "eq20.json"
+    dump_problem(validate_problem(market, agents, horizon), str(src))
+    assert main(["equilibrium", "--problem", str(src), "--out", str(tmp_path / "o.csv")]) == 0
+    spectral = json.loads((tmp_path / "o.json").read_text())["spectral"]
+    assert set(spectral) == _SPECTRAL_KEYS
+    assert "system_matrix" not in spectral
+    assert spectral == closed_form.spectral(market, 0.7, 20).to_dict()
+
+
+def test_twin_agents_get_identical_csv_columns(tmp_path):
+    # equal alpha and x0: the same terms, so the same bits in every row
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=10.0)
+    agents = [AgentSpec(1.5, 0.7), AgentSpec(-0.5, 0.7), AgentSpec(1.5, 0.7)]
+    for horizon in (Horizon.finite(2.0), Horizon.infinite()):
+        src = tmp_path / "twins_problem.json"
+        dump_problem(validate_problem(market, agents, horizon), str(src))
+        out = tmp_path / "twins.csv"
+        assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 401
+        for row in rows:  # t, X_1..X_3, rate_1..rate_3
+            assert row[1] == row[3] != row[2] and row[4] == row[6]
+
+
 def test_equilibrium_reruns_are_byte_identical(tmp_path, problem_file):
     args = ["equilibrium", "--problem", str(problem_file), "--mc-paths", "500"]
     assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
@@ -339,6 +373,29 @@ def test_problem_fields_must_be_numbers(tmp_path, capsys, section, key, value):
     assert err.startswith("error: invalid parameter") and err.count("\n") == 1, err
     assert not out.exists()
     assert not (tmp_path / "eq.json").exists()
+
+
+@pytest.mark.parametrize("market", [
+    {"lambda": 1e-300, "gamma": 1e10, "sigma": 1.0},
+    {"lambda": 1e-200, "gamma": 1e200, "sigma": 1.0},
+    {"lambda": 1e-300, "gamma": 1.0, "sigma": 1e100},
+], ids=["gamma", "gamma_large", "sigma"])
+@pytest.mark.parametrize("horizon", [{"type": "finite", "T": 1.0}, {"type": "infinite"}],
+                         ids=["finite", "infinite"])
+def test_overflowing_system_matrix_is_a_config_error(tmp_path, capsys, market, horizon):
+    # gamma / lambda or alpha sigma^2 / lambda past the float range: exit 1
+    # naming lambda, no RuntimeWarning (an error in this suite), nothing written
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps({"market": dict(market, s0=10.0),
+                               "agents": [{"x0": 1.0, "alpha": 0.5}, {"x0": 2.0, "alpha": 1.5}],
+                               "horizon": horizon}))
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--problem", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid parameter 'lambda'")
+    assert main(["scan", "--problem", str(src), "--out", str(out), "--param", "gamma",
+                 "--values", "0.5,1", "--probe-agent", "1", "--probe-time", "0.5"]) == 1
+    assert main(["oracle-check", "--problem", str(src), "--out", str(tmp_path / "o.json")]) == 1
+    assert list(tmp_path.iterdir()) == [src]
 
 
 _UNKNOWN_KEYS = [

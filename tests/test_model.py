@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liqgames import closed_form
 from liqgames.errors import (
     InvalidParam,
     OutOfDomain,
@@ -155,6 +156,35 @@ def test_validate_problem_infinite_rules():
             Horizon.infinite())
 
 
+_OVERFLOWING_MARKETS = [
+    (dict(lam=1e-300, gamma=1e10, sigma=1.0), "lambda"),  # gamma / lam
+    (dict(lam=1e-200, gamma=1e200, sigma=1.0), "lambda"),
+    (dict(lam=1e-300, gamma=1.0, sigma=1e100), "lambda"),  # alpha sigma^2 / lam
+    (dict(lam=1.0, gamma=1.0, sigma=1e200), "sigma"),  # sigma^2 itself
+]
+
+
+@pytest.mark.parametrize("horizon", [Horizon.finite(1.0), Horizon.infinite()],
+                         ids=["finite", "infinite"])
+@pytest.mark.parametrize("market, field", _OVERFLOWING_MARKETS,
+                         ids=[f"{m['lam']:g}-{m['gamma']:g}-{m['sigma']:g}"
+                              for m, _ in _OVERFLOWING_MARKETS])
+def test_validate_problem_rejects_an_overflowing_system_matrix(market, field, horizon):
+    # the solvers would overflow building M (a RuntimeWarning, an error in
+    # this suite) or raise untyped errors: validation names the field instead
+    agents = [AgentSpec(1.0, 0.5), AgentSpec(2.0, 1.5)]
+    with pytest.raises(InvalidParam) as info:
+        validate_problem(MarketParams(s0=0.0, **market), agents, horizon)
+    assert info.value.field == field
+
+
+def test_validate_problem_accepts_a_large_finite_system_matrix():
+    # gamma / lam = 1e300 is still a float: not an overflow
+    market = MarketParams(lam=1e-10, gamma=1e290, sigma=1e100, s0=0.0)
+    problem = validate_problem(market, [AgentSpec(1.0, 0.5)], Horizon.finite(1.0))
+    assert np.all(np.isfinite(system_matrix(market, problem.alphas)))
+
+
 def test_drift_must_cover_horizon():
     market = MarketParams(lam=1.0, gamma=0.5, sigma=1.0, s0=0.0,
                           drift=DriftSpec.sampled([0.0, 1.0], [0.1, 0.2]))
@@ -253,6 +283,44 @@ def test_expsum_term_order_irrelevant(perm):
     t = np.linspace(0.0, 5.0, 13)
     assert np.allclose(a.position(t), b.position(t), rtol=0, atol=1e-15)
     assert np.allclose(a.rate(t), b.rate(t), rtol=0, atol=1e-15)
+
+
+def _term_loop(s, t, derivative):
+    """X (or X') of s at t, adding one term at a time to 0.0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for c, r, a in zip(s.coefs, s.rates, s.anchors):
+        out += c * np.exp(r * (t - a)) * (r if derivative else 1.0)
+    return out if out.ndim else float(out)
+
+
+def _stacked_cases():
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=0.0)
+    # the second agent sits at the mean 0.25: its theta modes hold 0.0 and -0.0
+    agents = [AgentSpec(-1.0, 0.7), AgentSpec(0.25, 0.7), AgentSpec(1.5, 0.7)]
+    stiff = MarketParams(lam=1e-4, gamma=0.0, sigma=1.0, s0=0.0)
+    return {
+        "finite": closed_form.equal_alpha_finite(market, agents, 2.0),
+        "infinite": closed_form.equal_alpha_infinite(market, agents),
+        # kappa T = 500: the growing term is anchored at T
+        "stiff": [closed_form.single_agent_finite(stiff, AgentSpec(1.0, 2.0), 5.0)],
+        "minus_zero": [ExpSumStrategy(coefs=[-0.0], rates=[-1.0], anchors=[0.0],
+                                      horizon=Horizon.infinite())],
+    }
+
+
+@pytest.mark.parametrize("case", ["finite", "infinite", "stiff", "minus_zero"])
+def test_expsum_stack_matches_the_term_loop_bit_for_bit(case):
+    for s in _stacked_cases()[case]:
+        end = s.horizon.T if s.horizon.is_finite else 10.0
+        grid = np.linspace(0.0, end, 401)
+        for t in (0.0, 0.37 * end, end, grid, grid[:1], grid.reshape(1, 401), grid[:0]):
+            for derivative, f in ((False, s.position), (True, s.rate)):
+                got, want = f(t), _term_loop(s, t, derivative)
+                assert type(got) is type(want)
+                # int64 views tell -0.0 (the lone term's value) from the loop's 0.0
+                assert np.array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64)), (t, derivative)
 
 
 # ---------------------------------------------------------------------------
