@@ -31,6 +31,7 @@ from .model import (
     Horizon,
     MarketParams,
     SpectralData,
+    _sample_profile,
     alphas_equal,
     system_matrix,
 )
@@ -119,22 +120,6 @@ def single_agent_finite(
     )
 
 
-def _equal_alpha_term_data(spec: SpectralData, x_i: float, x_bar: float, T: float):
-    """Anchored term data for one agent of the equal-alpha equilibrium."""
-    dev = x_bar - x_i
-    denom_t = _expm1_neg(-2.0 * spec.theta_hat * T)
-    denom_r = _expm1_neg(-2.0 * spec.rho_hat * T)
-    coefs = [
-        dev * math.exp(spec.theta_minus * T) / denom_t,
-        -dev / denom_t,
-        -x_bar * math.exp(spec.rho_minus * T) / denom_r,
-        x_bar / denom_r,
-    ]
-    rates = [spec.theta_plus, spec.theta_minus, spec.rho_plus, spec.rho_minus]
-    anchors = [T, 0.0, T, 0.0]
-    return coefs, rates, anchors
-
-
 def equal_alpha_finite(
     market: MarketParams, agents: Sequence[AgentSpec], T: float
 ) -> list:
@@ -161,14 +146,17 @@ def equal_alpha_finite(
     n = len(agents)
     spec = spectral(market, alpha, n)
     x_bar = sum(a.x0 for a in agents) / n
+    denom_t = _expm1_neg(-2.0 * spec.theta_hat * T)
+    denom_r = _expm1_neg(-2.0 * spec.rho_hat * T)
+    at_t, at_r = math.exp(spec.theta_minus * T), math.exp(spec.rho_minus * T)
+    rates = [spec.theta_plus, spec.theta_minus, spec.rho_plus, spec.rho_minus]
     horizon = Horizon.finite(T)
-    out = []
-    for a in agents:
-        coefs, rates, anchors = _equal_alpha_term_data(spec, a.x0, x_bar, T)
-        out.append(
-            ExpSumStrategy(coefs=coefs, rates=rates, anchors=anchors, horizon=horizon)
-        )
-    return out
+    return [
+        ExpSumStrategy(coefs=[(x_bar - a.x0) * at_t / denom_t, -(x_bar - a.x0) / denom_t,
+                              -x_bar * at_r / denom_r, x_bar / denom_r],
+                       rates=rates, anchors=[T, 0.0, T, 0.0], horizon=horizon)
+        for a in agents
+    ]
 
 
 def equal_alpha_infinite(market: MarketParams, agents: Sequence[AgentSpec]) -> list:
@@ -315,12 +303,7 @@ def finite_to_infinite_convergence(
     T_sequence = list(T_sequence)
     if np.any(t_probe < 0) or (T_sequence and float(np.max(t_probe)) > min(T_sequence)):
         raise InvalidParam("t_probe", "probe times must lie in [0, min(T_sequence)]")
-    limit = equal_alpha_infinite(market, agents)
-    gaps = []
-    for T in T_sequence:
-        finite = equal_alpha_finite(market, agents, T)
-        gap = 0.0
-        for f, g in zip(finite, limit):
-            gap = max(gap, float(np.max(np.abs(f.position(t_probe) - g.position(t_probe)))))
-        gaps.append(gap)
+    limit = _sample_profile(equal_alpha_infinite(market, agents), t_probe)[0]
+    gaps = [np.max(np.abs(_sample_profile(equal_alpha_finite(market, agents, T), t_probe)[0]
+                          - limit), initial=0.0) for T in T_sequence]
     return np.array(gaps)

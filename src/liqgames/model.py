@@ -382,6 +382,21 @@ def _in_domain(t, T: Optional[float]) -> np.ndarray:
     return t
 
 
+def _term_sums(c, r, a, t) -> Tuple[np.ndarray, np.ndarray]:
+    """X and X' of the terms c e^{r (t - a)}, stacked along axis 0 of c, r and a.
+
+    Each adds the terms in order to 0.0, the bits of a per-term loop (numpy
+    sums 8 or more terms pairwise at a single point; closed forms have 2 or 4).
+    """
+    terms = t - a
+    terms *= r
+    np.exp(terms, out=terms)
+    terms *= c
+    x = np.add.reduce(terms, axis=0, initial=0.0)
+    terms *= r
+    return x, np.add.reduce(terms, axis=0, initial=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ExpSumStrategy:
     """Inventory path X(t) = sum_k c_k exp(r_k (t - a_k)).
@@ -405,20 +420,19 @@ class ExpSumStrategy:
     horizon: Horizon
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefs, dtype=float))
-        r = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        a = np.atleast_1d(np.asarray(self.anchors, dtype=float))
+        c, r, a = (np.atleast_1d(np.asarray(x, dtype=float))
+                   for x in (self.coefs, self.rates, self.anchors))
         if c.ndim != 1 or not (c.shape == r.shape == a.shape):
             raise InvalidParam("terms", "coefs, rates, anchors must be 1d and align")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r)) and np.all(np.isfinite(a))):
+        if not np.isfinite(np.concatenate((c, r, a))).all():
             raise InvalidParam("terms", "term data must be finite")
-        object.__setattr__(self, "coefs", _freeze(c))
-        object.__setattr__(self, "rates", _freeze(r))
-        object.__setattr__(self, "anchors", _freeze(a))
+        for name, x in (("coefs", c), ("rates", r), ("anchors", a)):
+            object.__setattr__(self, name, _freeze(x))
         if not isinstance(self.horizon, Horizon):
             raise InvalidParam("horizon", "must be a Horizon")
         if self.horizon.is_finite:
-            x_start, x_end = self.position(np.array([0.0, self.horizon.T]))
+            x_start, x_end = _term_sums(c[:, None], r[:, None], a[:, None],
+                                        np.array([0.0, self.horizon.T]))[0]
             if abs(x_end) > 1e-12 * max(1.0, abs(x_start)):
                 raise InvalidParam("terms", "finite-horizon strategy must end at zero inventory")
         else:
@@ -427,14 +441,9 @@ class ExpSumStrategy:
 
     def _accumulate(self, t, derivative: bool):
         t = _in_domain(t, self.horizon.T)
-        # summed from 0.0 in term order, the bits of a per-term loop (numpy sums 8 or
-        # more terms pairwise when t is a single point; closed forms have at most 4)
         column = (-1,) + (1,) * t.ndim
-        r = self.rates.reshape(column)
-        terms = self.coefs.reshape(column) * np.exp(r * (t - self.anchors.reshape(column)))
-        if derivative:
-            terms *= r
-        out = np.add.reduce(terms, axis=0, initial=0.0)
+        terms = (x.reshape(column) for x in (self.coefs, self.rates, self.anchors))
+        out = _term_sums(*terms, t)[derivative]
         return out if out.ndim else float(out)
 
     def position(self, t):
@@ -476,11 +485,20 @@ def _check_profile(profile: Sequence[Strategy], problem: Problem) -> Optional[np
 def _sample_profile(profile: Sequence[Strategy], t) -> Tuple[np.ndarray, np.ndarray]:
     """(n, len(t)) positions and rates of every member at times t.
 
-    Each row is the member's own position(t) and rate(t); at a grid
-    member's nodes, interpolation returns the stored node values exactly.
+    Each row is the member's own position(t) and rate(t), to the bit. A
+    profile of exponential sums with one term count is evaluated as one
+    (terms, n, len(t)) stack; at a grid member's nodes, interpolation
+    returns the stored node values exactly.
     """
-    return (np.array([s.position(t) for s in profile], dtype=float),
-            np.array([s.rate(t) for s in profile], dtype=float))
+    if (not all(isinstance(s, ExpSumStrategy) for s in profile)
+            or len({s.coefs.size for s in profile}) != 1):
+        return (np.array([s.position(t) for s in profile], dtype=float),
+                np.array([s.rate(t) for s in profile], dtype=float))
+    t = _in_domain(t, min((s.horizon.T for s in profile if s.horizon.is_finite), default=None))
+    column = (-1, len(profile)) + (1,) * t.ndim
+    terms = (np.array([getattr(s, f) for s in profile]).T.reshape(column)
+             for f in ("coefs", "rates", "anchors"))
+    return _term_sums(*terms, t)
 
 
 def _decay_time(profile: Sequence[ExpSumStrategy], decay: float) -> float:

@@ -20,6 +20,7 @@ from liqgames.model import (
     GridStrategy,
     Horizon,
     MarketParams,
+    _sample_profile,
     alphas_equal,
     dump_problem,
     load_problem,
@@ -321,6 +322,45 @@ def test_expsum_stack_matches_the_term_loop_bit_for_bit(case):
                 # int64 views tell -0.0 (the lone term's value) from the loop's 0.0
                 assert np.array_equal(np.asarray(got).view(np.int64),
                                       np.asarray(want).view(np.int64)), (t, derivative)
+
+
+def _sampled_profiles():
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=0.0)
+    cases = _stacked_cases()
+    return {
+        "finite": cases["finite"],
+        "infinite": cases["infinite"],
+        "two_player": list(closed_form.two_player_infinite(
+            market, AgentSpec(1.0, 0.5), AgentSpec(-2.0, 1.5))[:2]),
+        # four terms and two: each member evaluates alone
+        "term_counts": cases["finite"][:1] + [
+            closed_form.single_agent_finite(market, AgentSpec(1.0, 0.7), 2.0)],
+        # the risk-neutral line is a grid strategy
+        "grid": cases["finite"][:1] + [
+            closed_form.single_agent_finite(market, AgentSpec(1.0, 0.0), 2.0)],
+    }
+
+
+@pytest.mark.parametrize("case", ["finite", "infinite", "two_player", "term_counts", "grid"])
+def test_sample_profile_rows_are_the_members_own_bits(case):
+    profile = _sampled_profiles()[case]
+    end = 2.0 if profile[0].horizon.is_finite else 10.0
+    grid = np.linspace(0.0, end, 401)
+    for t in (0.37 * end, grid, grid.reshape(1, 401)):
+        got = _sample_profile(profile, t)
+        for rows, f in zip(got, ("position", "rate")):
+            want = np.array([getattr(s, f)(t) for s in profile])
+            assert rows.shape == want.shape
+            assert np.array_equal(rows.view(np.int64), want.view(np.int64)), (t, f)
+
+
+def test_sample_profile_stops_at_the_shortest_horizon():
+    market = MarketParams(lam=0.8, gamma=0.6, sigma=0.9, s0=0.0)
+    agents = [AgentSpec(1.0, 0.7)]
+    profile = [closed_form.equal_alpha_finite(market, agents, T)[0] for T in (3.0, 2.0)]
+    _sample_profile(profile, np.linspace(0.0, 2.0, 9))
+    with pytest.raises(OutOfDomain):
+        _sample_profile(profile, np.linspace(0.0, 2.5, 9))
 
 
 # ---------------------------------------------------------------------------
